@@ -6,12 +6,9 @@ from .aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
                    tail_area, tail_area_ratio, wing_area_from_span)
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, Kalman, KalmanParams, Lead,
-                     NoiseParams, NoiseSource, Pid, PidGains, disturbance_at)
+                     NoiseParams, NoiseSource, Pid, PidGains,
+                     PitchPlantParams, disturbance_at)
 from .config import default_config, load_config
-from .dynamics import (FlightPoint, HingeMomentInputs, PitchPlantParams,
-                       PitchState, flight_path_rate, hinge_moment_gain,
-                       lift_drag, pitch_plant_deriv, resultant_speed,
-                       translational_accel)
 from .engine import (LoopConfig, Scenario, Trace, run_ab_pair, run_scenario,
                      stability_probe)
 from .errors import (ConfigError, DivergedError, DomainError, NoResponseError,

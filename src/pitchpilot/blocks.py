@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .dynamics import PitchPlantParams
 from .errors import ConfigError, DomainError
 
 
@@ -107,6 +106,42 @@ class KalmanParams:
             raise ConfigError("measurement variance r must be > 0")
 
 
+@dataclass(frozen=True)
+class PitchPlantParams:
+    """Rotational plant: J_z·w_ddot = c - lam·w_dot - d."""
+
+    J_z: float = 40.0   # moment of inertia (loop units)
+    lam: float = 6.0    # aerodynamic resistance (torque per unit rate)
+
+    def __post_init__(self):
+        if not self.J_z > 0:
+            raise DomainError(f"J_z must be > 0, got {self.J_z}")
+        if self.lam < 0:
+            raise DomainError(f"lam must be >= 0, got {self.lam}")
+
+
+def _zoh(A, B, dt):
+    """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u."""
+    if not dt > 0:
+        raise ConfigError("dt must be > 0")
+    n = len(B)
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = A
+    M[:n, n] = B
+    Md = expm(M * dt)
+    return Md[:n, :n], Md[:n, n]
+
+
+def _steps(value, dt, what):
+    """value/dt as an int; ConfigError unless it is a whole number of steps."""
+    ratio = value / dt
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9 * max(1.0, ratio):
+        raise ConfigError(
+            f"{what}={value} is not an integer multiple of dt={dt}")
+    return n
+
+
 class Pid:
     """Parallel PID with trapezoidal integral and filtered derivative.
 
@@ -180,25 +215,15 @@ class Actuator:
     """
 
     def __init__(self, params: ActuatorParams, dt, initial=0.0):
-        if not dt > 0:
-            raise ConfigError("dt must be > 0")
-        slots = params.tau / dt
-        n_slots = int(round(slots))
-        if abs(slots - n_slots) > 1e-9 * max(1.0, slots):
-            raise ConfigError(
-                f"actuator delay tau={params.tau} is not an integer multiple"
-                f" of dt={dt}")
         self.params = params
         A = np.array([[0.0, 1.0],
                       [-params.wn ** 2, -2.0 * params.mu * params.wn]])
         B = np.array([0.0, params.gain * params.wn ** 2])
-        M = np.zeros((3, 3))
-        M[:2, :2] = A
-        M[:2, 2] = B
-        Md = expm(M * dt)
-        self.a00, self.a01 = Md[0, 0], Md[0, 1]
-        self.a10, self.a11 = Md[1, 0], Md[1, 1]
-        self.b_0, self.b_1 = Md[0, 2], Md[1, 2]
+        Ad, Bd = _zoh(A, B, dt)
+        n_slots = _steps(params.tau, dt, "actuator delay tau")
+        self.a00, self.a01 = Ad[0, 0], Ad[0, 1]
+        self.a10, self.a11 = Ad[1, 0], Ad[1, 1]
+        self.b_0, self.b_1 = Bd
         steady = params.gain * initial
         self.x0 = steady
         self.x1 = 0.0
@@ -227,31 +252,21 @@ class Kalman:
 
     def __init__(self, params: KalmanParams, plant: PitchPlantParams, dt,
                  initial_pitch=0.0):
-        if not dt > 0:
-            raise ConfigError("dt must be > 0")
         self.params = params
         A = np.array([[0.0, 1.0], [0.0, -plant.lam / plant.J_z]])
         B = np.array([0.0, 1.0 / plant.J_z])
-        M = np.zeros((3, 3))
-        M[:2, :2] = A
-        M[:2, 2] = B
-        Md = expm(M * dt)
+        Ad, Bd = _zoh(A, B, dt)
         # The transition matrix is upper triangular for this plant; keep the
         # filter in scalar form so a 10^4-step run stays cheap.
-        self.f01 = Md[0, 1]
-        self.f11 = Md[1, 1]
-        self.g0 = Md[0, 2]
-        self.g1 = Md[1, 2]
+        self.f01 = Ad[0, 1]
+        self.f11 = Ad[1, 1]
+        self.g0, self.g1 = Bd
         self.q00 = params.q_omega * dt
         self.q11 = params.q_rate * dt
         self.r = params.r
         self.x0 = float(initial_pitch)
         self.x1 = 0.0
         self.p00, self.p01, self.p11 = 1.0, 0.0, 1.0
-
-    @property
-    def x(self):
-        return np.array([self.x0, self.x1])
 
     @property
     def P(self):
@@ -286,12 +301,7 @@ class NoiseSource:
     """Zero-order-hold white noise, deterministic for a given seed."""
 
     def __init__(self, params: NoiseParams, dt, seed):
-        ratio = params.sample_time / dt
-        self.hold = int(round(ratio))
-        if abs(ratio - self.hold) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(
-                f"noise sample_time={params.sample_time} is not an integer"
-                f" multiple of dt={dt}")
+        self.hold = _steps(params.sample_time, dt, "noise sample_time")
         self.sigma = math.sqrt(params.variance)
         self.enabled = params.enabled and params.variance > 0
         self.rng = np.random.default_rng(seed)

@@ -174,11 +174,15 @@ def _parse_values(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" in chunk:
-            lo, hi = chunk.split(":", 1)
-            values.extend(float(v) for v in range(int(lo), int(hi) + 1))
-        else:
-            values.append(float(chunk))
+        try:
+            if ":" in chunk:
+                lo, hi = chunk.split(":", 1)
+                values.extend(float(v) for v in range(int(lo), int(hi) + 1))
+            else:
+                values.append(float(chunk))
+        except ValueError as exc:
+            raise ConfigError(f"sweep value '{chunk}' is not a number"
+                              " or an integer range lo:hi") from exc
     if not values:
         raise ConfigError("empty sweep value list")
     return tuple(values)

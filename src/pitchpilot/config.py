@@ -6,54 +6,33 @@ One document with sections `missile`, `derivatives`, `tail_sizing`, `loop`
 value, so an empty file reproduces the compensated system B.
 """
 
-import copy
 import json
-import math
+from dataclasses import MISSING, fields
 
 from .aero import AeroDerivatives, MissileConfig, TailSizingInputs
-from .blocks import (ActuatorParams, CompensatorParams, DisturbanceParams,
-                     KalmanParams, NoiseParams, PidGains)
-from .dynamics import PitchPlantParams
 from .engine import LoopConfig, Scenario
 from .errors import ConfigError
+
+# Document section -> dataclass.  The defaults live in the dataclasses; a
+# field whose default is built by a factory is a nested sub-section.
+SECTIONS = {
+    "missile": MissileConfig,
+    "derivatives": AeroDerivatives,
+    "tail_sizing": TailSizingInputs,
+    "loop": LoopConfig,
+    "scenario": Scenario,
+}
+
+
+def _defaults(cls):
+    return {f.name: (f.default if f.default_factory is MISSING
+                     else _defaults(f.default_factory))
+            for f in fields(cls)}
 
 
 def default_config():
     """The full default configuration document."""
-    return {
-        "missile": {
-            "d": 0.2, "l_M": 5.2, "l_N": 1.0, "l_B": 4.0, "l_BT": 0.2,
-            "A_e": 0.015, "b": 0.888, "S_W": 0.282, "S_T": 0.0865,
-            "S_ref": math.pi / 4 * 0.2 ** 2, "AR": 2.75, "C_MAC": 0.377,
-            "X_CG": 2.5, "X_AC": 3.15, "X_MAC": 2.75, "m": 85.0,
-            "J_z": 40.0, "V_c": 250.0, "Ma": 0.85, "h": 6000.0,
-        },
-        "derivatives": {
-            "C_L0": 0.924, "C_D0": 0.603, "C_La": 0.524,
-            "C_Ma": -0.300, "C_Ld": 0.208, "C_Md": 0.267,
-        },
-        "tail_sizing": {
-            "d": 1.0, "S_W": 0.287, "S_ref": 0.0314, "X_CG": 2.5,
-            "X_CP_body": 0.2, "X_CP_wing": 2.85, "X_CP_tail": 4.8,
-            "X_AC": 0.094, "C_Na_body": 0.0, "C_Na_wing": 0.262,
-            "C_Na_tail": 0.262,
-        },
-        "loop": {
-            "pid": {"k_p": 44.0, "k_i": 23.4, "k_d": 24.0, "tau_f": 0.055},
-            "compensator": {"a": 11.0, "T": 0.01, "enabled": True},
-            "actuator": {"gain": 7.0, "wn": 50.0, "mu": 0.5, "tau": 0.1},
-            "plant": {"J_z": 40.0, "lam": 6.0},
-            "disturbance": {"amplitude": 1.0, "frequency": 1.0},
-            "noise": {"enabled": True, "variance": 0.1, "sample_time": 0.01,
-                      "seed": None},
-            "kalman": {"enabled": True, "q_omega": 1e-4, "q_rate": 1e-2,
-                       "r": 0.1},
-        },
-        "scenario": {
-            "initial": 10.0, "command": 1.0, "duration": 10.0,
-            "dt": 0.001, "seed": 0,
-        },
-    }
+    return {name: _defaults(cls) for name, cls in SECTIONS.items()}
 
 
 def _merge(base, override, path=""):
@@ -114,34 +93,37 @@ def apply_override(cfg, dotted, value):
     return cfg
 
 
+def _build(cls, doc, where):
+    """Instantiate `cls` from its document section, sub-sections first."""
+    kwargs = {f.name: (doc[f.name] if f.default_factory is MISSING
+                       else _build(f.default_factory, doc[f.name],
+                                   f"{where}.{f.name}"))
+              for f in fields(cls)}
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid '{where}' section: {exc}") from exc
+
+
+def _section(cfg, name):
+    return _build(SECTIONS[name], cfg[name], name)
+
+
 def loop_config_from(cfg) -> LoopConfig:
-    loop = cfg["loop"]
-    return LoopConfig(
-        pid=PidGains(**loop["pid"]),
-        compensator=CompensatorParams(**loop["compensator"]),
-        actuator=ActuatorParams(**loop["actuator"]),
-        plant=PitchPlantParams(**loop["plant"]),
-        disturbance=DisturbanceParams(**loop["disturbance"]),
-        noise=NoiseParams(**loop["noise"]),
-        kalman=KalmanParams(**loop["kalman"]),
-    )
+    return _section(cfg, "loop")
 
 
 def scenario_from(cfg) -> Scenario:
-    return Scenario(**cfg["scenario"])
+    return _section(cfg, "scenario")
 
 
 def missile_from(cfg) -> MissileConfig:
-    return MissileConfig(**cfg["missile"])
+    return _section(cfg, "missile")
 
 
 def derivatives_from(cfg) -> AeroDerivatives:
-    return AeroDerivatives(**cfg["derivatives"])
+    return _section(cfg, "derivatives")
 
 
 def tail_sizing_from(cfg) -> TailSizingInputs:
-    return TailSizingInputs(**cfg["tail_sizing"])
-
-
-def copy_config(cfg):
-    return copy.deepcopy(cfg)
+    return _section(cfg, "tail_sizing")

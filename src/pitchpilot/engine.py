@@ -14,8 +14,8 @@ import numpy as np
 
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, Kalman, KalmanParams, Lead,
-                     NoiseParams, NoiseSource, Pid, PidGains, disturbance_at)
-from .dynamics import PitchPlantParams
+                     NoiseParams, NoiseSource, Pid, PidGains,
+                     PitchPlantParams, disturbance_at)
 from .errors import ConfigError, DivergedError
 
 TRACE_COLUMNS = ("t", "cmd", "omega", "omega_dot", "omega_meas",
@@ -75,9 +75,6 @@ class Trace:
     def __len__(self):
         return len(self.t)
 
-    def columns(self):
-        return {name: getattr(self, name) for name in TRACE_COLUMNS}
-
     def to_csv(self, path):
         """Write the trace as CSV with full-precision decimal values."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -98,12 +95,6 @@ class Trace:
         return cls(**{name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)})
 
 
-def _check_multiple(value, dt, what):
-    ratio = value / dt
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-        raise ConfigError(f"{what}={value} must be an integer multiple of dt={dt}")
-
-
 def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     """Simulate the closed loop once and return the full Trace.
 
@@ -111,11 +102,6 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     offending step index if any signal goes non-finite.
     """
     dt = scenario.dt
-    if config.actuator.tau > 0:
-        _check_multiple(config.actuator.tau, dt, "actuator tau")
-    if config.noise.enabled:
-        _check_multiple(config.noise.sample_time, dt, "noise sample_time")
-
     n_steps = int(round(scenario.duration / dt))
     n = n_steps + 1
     cols = {name: np.empty(n) for name in TRACE_COLUMNS}

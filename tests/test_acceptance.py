@@ -9,8 +9,7 @@ from pitchpilot.aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
                              check_control_margin, static_margin, tail_area,
                              tail_area_ratio)
 from pitchpilot.blocks import Actuator, ActuatorParams, CompensatorParams, \
-    Kalman, KalmanParams, Lead
-from pitchpilot.dynamics import PitchPlantParams
+    Kalman, KalmanParams, Lead, PitchPlantParams
 from pitchpilot.engine import Scenario, run_scenario
 from pitchpilot.metrics import band_for_step, noise_envelope, step_metrics
 from pitchpilot.tuner import SweepSpec, sweep

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import cont2discrete
 
 from pitchpilot.blocks import (Actuator, ActuatorParams, CompensatorParams,
                                DisturbanceParams, Kalman, KalmanParams, Lead,
                                NoiseParams, NoiseSource, Pid, PidGains,
-                               disturbance_at)
-from pitchpilot.dynamics import PitchPlantParams
+                               PitchPlantParams, _zoh, disturbance_at)
 from pitchpilot.errors import ConfigError, DomainError
 
 
@@ -171,6 +171,32 @@ class TestActuator:
             ActuatorParams(wn=0.0)
         with pytest.raises(DomainError):
             ActuatorParams(gain=0.0)
+
+
+class TestZoh:
+    def test_plant_closed_form(self):
+        # x = [pitch, rate], J·rate' = u - lam·rate, with a = lam/J.
+        J, lam, dt = 40.0, 6.0, 0.001
+        Ad, Bd = _zoh(np.array([[0.0, 1.0], [0.0, -lam / J]]),
+                      np.array([0.0, 1.0 / J]), dt)
+        a = lam / J
+        decay = math.exp(-a * dt)
+        f01 = (1.0 - decay) / a
+        assert Ad[0, 0] == 1.0 and Ad[1, 0] == 0.0
+        assert Ad[1, 1] == pytest.approx(decay, abs=1e-15)
+        assert Ad[0, 1] == pytest.approx(f01, abs=1e-15)
+        assert Bd[1] == pytest.approx((1.0 - decay) / lam, abs=1e-15)
+        assert Bd[0] == pytest.approx((dt - f01) / lam, abs=1e-15)
+
+    def test_actuator_matches_cont2discrete(self):
+        p, dt = ActuatorParams(), 0.001
+        A = np.array([[0.0, 1.0], [-p.wn ** 2, -2.0 * p.mu * p.wn]])
+        B = np.array([0.0, p.gain * p.wn ** 2])
+        Ad, Bd = _zoh(A, B, dt)
+        Ad_ref, Bd_ref, *_ = cont2discrete(
+            (A, B[:, None], np.eye(2), np.zeros((2, 1))), dt, method="zoh")
+        assert np.array_equal(Ad, Ad_ref)
+        assert np.array_equal(Bd, Bd_ref[:, 0])
 
 
 class TestKalman:

@@ -56,6 +56,15 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg), "--out",
                        str(tmp_path)) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", ["loop.pid.k_p=abc",
+                                          "loop.actuator.wn=abc",
+                                          "loop.plant.J_z=abc"])
+    def test_mistyped_value_exit_code(self, tmp_path, capsys, override):
+        assert run_cli("simulate", "--out", str(tmp_path),
+                       "--set", override) == EXIT_CONFIG
+        section = override.rsplit(".", 1)[0]
+        assert f"'{section}'" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path):
         code = run_cli("simulate", "--out", str(tmp_path),
                        "--set", "loop.pid.k_p=1e9",
@@ -110,6 +119,12 @@ class TestSweepAndTune:
 
     def test_empty_values_usage_error(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path), "--values", ",",
+                       *QUIET) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("values", ["0.5:2", "a"],
+                             ids=["float-range", "non-number"])
+    def test_malformed_values_usage_error(self, tmp_path, values):
+        assert run_cli("sweep", "--out", str(tmp_path), "--values", values,
                        *QUIET) == EXIT_CONFIG
 
     def test_tune_budget_one_echoes_start(self, tmp_path, capsys):

@@ -1,159 +1,12 @@
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from pitchpilot.aero import AeroDerivatives, MissileConfig
-from pitchpilot.dynamics import (FlightPoint, HingeMomentInputs,
-                                 PitchPlantParams, PitchState,
-                                 flight_path_rate, hinge_moment_gain,
-                                 lift_drag, pitch_plant_deriv, resultant_speed,
-                                 translational_accel)
+from pitchpilot.blocks import PitchPlantParams
 from pitchpilot.errors import DomainError
-
-finite = st.floats(min_value=-1e3, max_value=1e3,
-                   allow_nan=False, allow_infinity=False)
 
 
 class TestPitchPlant:
-    def test_balanced_torques(self):
-        p = PitchPlantParams()
-        _, wdd = pitch_plant_deriv(p, PitchState(3.0, 0.0), c=5.0, d=5.0)
-        assert wdd == 0.0
-
-    def test_steady_state_rate(self):
-        p = PitchPlantParams()
-        rate = (12.0 - 3.0) / p.lam
-        _, wdd = pitch_plant_deriv(p, PitchState(0.0, rate), c=12.0, d=3.0)
-        assert wdd == pytest.approx(0.0, abs=1e-12)
-
-    def test_direct_arithmetic(self):
-        p = PitchPlantParams(J_z=40.0, lam=6.0)
-        wd, wdd = pitch_plant_deriv(p, PitchState(0.0, 0.0), c=40.0, d=0.0)
-        assert (wd, wdd) == (0.0, 1.0)
-
-    @given(c1=finite, d1=finite, c2=finite, d2=finite, w1=finite, w2=finite)
-    def test_superposition(self, c1, d1, c2, d2, w1, w2):
-        p = PitchPlantParams()
-        _, a1 = pitch_plant_deriv(p, PitchState(0.0, w1), c1, d1)
-        _, a2 = pitch_plant_deriv(p, PitchState(0.0, w2), c2, d2)
-        _, a12 = pitch_plant_deriv(p, PitchState(0.0, w1 + w2), c1 + c2, d1 + d2)
-        assert a12 == pytest.approx(a1 + a2, abs=1e-9, rel=1e-12)
-
-    def test_free_decay_time_constant(self):
-        p = PitchPlantParams()
-        dt, rate, t_end = 1e-3, 5.0, 2.0
-        state = PitchState(0.0, rate)
-        for _ in range(int(t_end / dt)):
-            k1 = pitch_plant_deriv(p, state, 0.0, 0.0)
-            s2 = PitchState(state.omega + dt / 2 * k1[0],
-                            state.omega_dot + dt / 2 * k1[1])
-            k2 = pitch_plant_deriv(p, s2, 0.0, 0.0)
-            s3 = PitchState(state.omega + dt / 2 * k2[0],
-                            state.omega_dot + dt / 2 * k2[1])
-            k3 = pitch_plant_deriv(p, s3, 0.0, 0.0)
-            s4 = PitchState(state.omega + dt * k3[0],
-                            state.omega_dot + dt * k3[1])
-            k4 = pitch_plant_deriv(p, s4, 0.0, 0.0)
-            state = PitchState(
-                state.omega + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                state.omega_dot + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
-        expected = rate * math.exp(-t_end / (p.J_z / p.lam))
-        assert state.omega_dot == pytest.approx(expected, rel=1e-3)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             PitchPlantParams(J_z=0)
         with pytest.raises(DomainError):
-            PitchState(float("nan"), 0.0)
-
-
-class TestTranslational:
-    def test_one_g_normal(self):
-        fp = FlightPoint(P=0, D=0, L=9.81 * 85.0, alpha=0.0)
-        _, a_yb = translational_accel(fp)
-        assert a_yb == pytest.approx(1.0)
-
-    def test_direct_arithmetic(self):
-        fp = FlightPoint(P=1000.0, D=500.0, L=0.0, alpha=0.0, m=85.0)
-        a_xb, _ = translational_accel(fp)
-        assert a_xb == pytest.approx(500.0 / 833.85, rel=1e-6)
-
-    def test_thrust_drag_balance(self):
-        fp = FlightPoint(P=700.0, D=700.0, L=0.0, alpha=0.0)
-        a_xb, _ = translational_accel(fp)
-        assert a_xb == 0.0
-
-    def test_zero_alpha_decoupling(self):
-        base = FlightPoint(P=900.0, D=300.0, L=4000.0, alpha=0.0)
-        more_lift = FlightPoint(P=900.0, D=300.0, L=8000.0, alpha=0.0)
-        assert translational_accel(base)[0] == translational_accel(more_lift)[0]
-        more_thrust = FlightPoint(P=1800.0, D=600.0, L=4000.0, alpha=0.0)
-        assert translational_accel(base)[1] == translational_accel(more_thrust)[1]
-
-
-class TestResultantSpeed:
-    def test_pythagorean_triple(self):
-        assert resultant_speed(3, 4) == 5
-
-    def test_axis_aligned(self):
-        assert resultant_speed(123.4, 0) == 123.4
-
-    def test_direct_arithmetic(self):
-        assert resultant_speed(250, 25) == pytest.approx(251.247, abs=5e-4)
-
-    @given(a=finite, b=finite, c=finite, d=finite)
-    def test_symmetry_and_triangle(self, a, b, c, d):
-        assert resultant_speed(a, b) == resultant_speed(b, a)
-        assert (resultant_speed(a + c, b + d)
-                <= resultant_speed(a, b) + resultant_speed(c, d) + 1e-9)
-
-
-class TestFlightPathRate:
-    def test_zero_accel(self):
-        assert flight_path_rate(0.0, 250.0) == 0.0
-
-    def test_thirty_g_manoeuvre(self):
-        assert flight_path_rate(30 * 9.81, 250.0) == pytest.approx(1.1772)
-
-    def test_unit_ratio(self):
-        assert flight_path_rate(250.0, 250.0) == 1.0
-
-    def test_rejects_nonpositive_speed(self):
-        with pytest.raises(DomainError):
-            flight_path_rate(100.0, 0.0)
-
-
-class TestLiftDrag:
-    def test_lift_at_zero_alpha(self):
-        L, _ = lift_drag(23811.0, 0.0, MissileConfig(), AeroDerivatives())
-        assert L == pytest.approx(6204.5, rel=1e-3)
-
-    def test_base_drag(self):
-        _, D = lift_drag(23811.0, 0.0, MissileConfig(), AeroDerivatives())
-        assert D == pytest.approx(450.8, rel=1e-3)
-
-    def test_zero_dynamic_pressure(self):
-        assert lift_drag(0.0, 0.1, MissileConfig(), AeroDerivatives()) == (0.0, 0.0)
-
-    def test_rejects_negative_q(self):
-        with pytest.raises(DomainError):
-            lift_drag(-1.0, 0.0, MissileConfig(), AeroDerivatives())
-
-
-class TestHingeMoment:
-    def test_elevator_only(self):
-        gain = hinge_moment_gain(HingeMomentInputs(kappa=0.0))
-        assert gain == pytest.approx(37.94, rel=1e-3)
-
-    def test_with_alpha_coupling(self):
-        gain = hinge_moment_gain(HingeMomentInputs(kappa=1.0))
-        assert gain == pytest.approx(142.12 * -0.033, rel=2e-2)
-
-    def test_zero_dynamic_pressure(self):
-        assert hinge_moment_gain(HingeMomentInputs(q=0.0)) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            HingeMomentInputs(S_T=0.0)
+            PitchPlantParams(lam=-1.0)

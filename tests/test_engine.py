@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pitchpilot.blocks import DisturbanceParams, NoiseParams, PidGains
+from pitchpilot.blocks import (DisturbanceParams, NoiseParams, PidGains,
+                               PitchPlantParams)
 from pitchpilot.engine import (LoopConfig, Scenario, Trace, run_ab_pair,
                                run_scenario, stability_probe)
 from pitchpilot.errors import ConfigError, DivergedError
@@ -59,6 +60,27 @@ class TestRunScenario:
         trace = run_scenario(cfg, Scenario(duration=1.0))
         assert np.all(trace.omega == 10.0)
         assert np.all(np.abs(trace.omega_dot) <= 1e-12)
+
+    @pytest.mark.parametrize("J, lam, amp, freq",
+                             [(40.0, 6.0, 1.0, 1.0), (10.0, 20.0, 3.0, 2.5)])
+    def test_open_loop_plant_matches_closed_form(self, J, lam, amp, freq):
+        # Zero gains leave the deflection at zero, so the plant runs open
+        # loop: J·w'' + lam·w' = -amp·sin(freq·t) from rest at 10 deg.
+        cfg = LoopConfig(pid=PidGains(k_p=0, k_i=0, k_d=0),
+                         plant=PitchPlantParams(J_z=J, lam=lam),
+                         disturbance=DisturbanceParams(amp, freq),
+                         noise=NoiseParams(enabled=False))
+        trace = run_scenario(cfg, Scenario())
+        t = trace.t
+        a, f = lam / J, freq
+        scale = -amp / J / (a * a + f * f)
+        rate = scale * (a * np.sin(f * t) - f * np.cos(f * t)
+                        + f * np.exp(-a * t))
+        pitch = 10.0 + scale * (a * (1.0 - np.cos(f * t)) / f - np.sin(f * t)
+                                + f / a * (1.0 - np.exp(-a * t)))
+        assert np.all(trace.delta == 0.0)
+        assert np.max(np.abs(trace.omega_dot - rate)) < 1e-12
+        assert np.max(np.abs(trace.omega - pitch)) < 1e-12
 
     def test_diverged_run_carries_step_index(self, quiet_config):
         cfg = replace(quiet_config, pid=PidGains(k_p=1e9, k_i=0, k_d=1e9))
