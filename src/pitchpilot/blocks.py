@@ -76,6 +76,8 @@ class NoiseParams:
             raise DomainError("noise variance must be >= 0")
         if not self.sample_time > 0:
             raise DomainError("noise sample_time must be > 0")
+        if self.seed is not None:
+            check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class KalmanParams:
 
 @dataclass(frozen=True)
 class PitchPlantParams:
-    """Rotational plant: J_z·w_ddot = c - lam·w_dot - d."""
+    """Rotational plant: J_z·w_ddot = delta - lam·w_dot - d."""
 
     J_z: float = 40.0   # moment of inertia (loop units)
     lam: float = 6.0    # aerodynamic resistance (torque per unit rate)
@@ -118,6 +120,17 @@ class PitchPlantParams:
             raise DomainError(f"J_z must be > 0, got {self.J_z}")
         if self.lam < 0:
             raise DomainError(f"lam must be >= 0, got {self.lam}")
+
+    def model(self):
+        """(A, B) of x' = A·x + B·u on x = [pitch, rate], u = net torque."""
+        return (np.array([[0.0, 1.0], [0.0, -self.lam / self.J_z]]),
+                np.array([0.0, 1.0 / self.J_z]))
+
+
+def check_seed(seed):
+    """DomainError unless `seed` is a non-negative int."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _zoh(A, B, dt):
@@ -130,6 +143,20 @@ def _zoh(A, B, dt):
     M[:n, n] = B
     Md = expm(M * dt)
     return Md[:n, :n], Md[:n, n]
+
+
+def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
+    """Exact ZOH map of the plant and the disturbance oscillator s' = f·c,
+    c' = -f·s (Van Loan 1978): rows give the pitch increment and next rate
+    from (rate, delta, amp·sin(f·t), amp·cos(f·t)) at the step start."""
+    A, B = plant.model()
+    f = disturbance.frequency
+    Ae = np.zeros((4, 4))
+    Ae[:2, :2] = A
+    Ae[:2, 2] = -B
+    Ae[2, 3], Ae[3, 2] = f, -f
+    Ad, Bd = _zoh(Ae, np.concatenate((B, [0.0, 0.0])), dt)
+    return np.column_stack((Ad[:2, 1], Bd[:2], Ad[:2, 2:]))
 
 
 def _steps(value, dt, what):
@@ -151,21 +178,22 @@ class Pid:
     error produces the usual derivative kick on the first step.
     """
 
-    def __init__(self, gains: PidGains):
+    def __init__(self, gains: PidGains, dt):
+        if not dt > 0:
+            raise ConfigError("dt must be > 0")
         self.gains = gains
+        self.dt = dt
+        self.alpha = dt / (gains.tau_f + dt)
         self.integral = 0.0
         self.d_filt = 0.0
         self.prev_error = 0.0
 
-    def step(self, error, dt):
-        if not dt > 0:
-            raise ConfigError("dt must be > 0")
+    def step(self, error):
         if not math.isfinite(error):
             raise ConfigError(f"non-finite PID error {error}")
-        g = self.gains
-        self.integral += 0.5 * (error + self.prev_error) * dt
-        alpha = dt / (g.tau_f + dt)
-        self.d_filt += alpha * ((error - self.prev_error) / dt - self.d_filt)
+        g, dt, prev = self.gains, self.dt, self.prev_error
+        self.integral += 0.5 * (error + prev) * dt
+        self.d_filt += self.alpha * ((error - prev) / dt - self.d_filt)
         self.prev_error = error
         return g.k_p * error + g.k_i * self.integral + g.k_d * self.d_filt
 
@@ -252,14 +280,10 @@ class Kalman:
 
     def __init__(self, params: KalmanParams, plant: PitchPlantParams, dt,
                  initial_pitch=0.0):
-        self.params = params
-        A = np.array([[0.0, 1.0], [0.0, -plant.lam / plant.J_z]])
-        B = np.array([0.0, 1.0 / plant.J_z])
-        Ad, Bd = _zoh(A, B, dt)
+        Ad, Bd = _zoh(*plant.model(), dt)
         # The transition matrix is upper triangular for this plant; keep the
         # filter in scalar form so a 10^4-step run stays cheap.
-        self.f01 = Ad[0, 1]
-        self.f11 = Ad[1, 1]
+        (_, self.f01), (_, self.f11) = Ad
         self.g0, self.g1 = Bd
         self.q00 = params.q_omega * dt
         self.q11 = params.q_rate * dt

@@ -3,23 +3,21 @@
 Per step the blocks advance in a fixed order: error -> PID -> lead ->
 actuator -> plant -> noise -> Kalman.  The error junction uses the filtered
 pitch produced by the previous step's filter stage (one-step computational
-delay).  The plant integrates with classical RK4; everything else is
-discrete-time.
+delay).  The plant advances by its exact zero-order-hold map, with the
+sinusoidal disturbance carried as oscillator states, so its update has no
+step-size limit; everything else is discrete-time.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, Kalman, KalmanParams, Lead,
                      NoiseParams, NoiseSource, Pid, PidGains,
-                     PitchPlantParams, disturbance_at)
+                     PitchPlantParams, check_seed, disturbance_at, plant_step)
 from .errors import ConfigError, DivergedError
-
-TRACE_COLUMNS = ("t", "cmd", "omega", "omega_dot", "omega_meas",
-                 "omega_filt", "error", "u_pid", "u_lead", "delta", "d_t")
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,7 @@ class Scenario:
             raise ConfigError(
                 f"dt={self.dt} too coarse for the 50 rad/s actuator"
                 " (need dt <= 0.005)")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,10 @@ class Trace:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if data.shape[1] != len(TRACE_COLUMNS):
             raise ConfigError("trace column count mismatch")
-        return cls(**{name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)})
+        return cls(*data.T)
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(Trace))
 
 
 def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
@@ -104,20 +106,22 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
     n = n_steps + 1
-    cols = {name: np.empty(n) for name in TRACE_COLUMNS}
+    rec = np.empty((n, len(TRACE_COLUMNS)))
 
-    pid = Pid(config.pid)
+    pid = Pid(config.pid, dt)
     lead = Lead(config.compensator, dt) if config.compensator.enabled else None
     act = Actuator(config.actuator, dt, initial=0.0)
     seed = config.noise.seed if config.noise.seed is not None else scenario.seed
     noise = NoiseSource(config.noise, dt, seed)
     kal = (Kalman(config.kalman, config.plant, dt, scenario.initial)
            if config.kalman.enabled else None)
+    (p01, p0u, p0s, p0c), (p11, p1u, p1s, p1c) = plant_step(
+        config.plant, config.disturbance, dt)
+    amp, freq = config.disturbance.amplitude, config.disturbance.frequency
 
     omega = float(scenario.initial)
     omega_dot = 0.0
     cmd = float(scenario.command)
-    J, lam = config.plant.J_z, config.plant.lam
 
     # Measurement pipeline for the initial sample (update-only; prediction
     # starts with the first full step).
@@ -130,22 +134,12 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
         for k in range(n):
             t = k * dt
             err = cmd - filt
-            u_pid = pid.step(err, dt)
+            u_pid = pid.step(err)
             u_lead = lead.step(u_pid) if lead else u_pid
             delta = act.step(u_lead)
             d = disturbance_at(config.disturbance, t)
-
-            cols["t"][k] = t
-            cols["cmd"][k] = cmd
-            cols["omega"][k] = omega
-            cols["omega_dot"][k] = omega_dot
-            cols["omega_meas"][k] = meas
-            cols["omega_filt"][k] = filt
-            cols["error"][k] = err
-            cols["u_pid"][k] = u_pid
-            cols["u_lead"][k] = u_lead
-            cols["delta"][k] = delta
-            cols["d_t"][k] = d
+            rec[k] = (t, cmd, omega, omega_dot, meas, filt, err, u_pid, u_lead,
+                      delta, d)
 
             if not (math.isfinite(omega) and math.isfinite(delta)
                     and math.isfinite(u_pid)):
@@ -153,28 +147,16 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
             if k == n_steps:
                 break
 
-            # RK4 on (omega, omega_dot); deflection torque held over the step,
-            # disturbance evaluated at the stage times.
-            d_half = disturbance_at(config.disturbance, t + 0.5 * dt)
-            d_full = disturbance_at(config.disturbance, t + dt)
-            k1w = omega_dot
-            k1r = (delta - lam * omega_dot - d) / J
-            w2 = omega_dot + 0.5 * dt * k1r
-            k2w = w2
-            k2r = (delta - lam * w2 - d_half) / J
-            w3 = omega_dot + 0.5 * dt * k2r
-            k3w = w3
-            k3r = (delta - lam * w3 - d_half) / J
-            w4 = omega_dot + dt * k3r
-            k4w = w4
-            k4r = (delta - lam * w4 - d_full) / J
-            omega += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            omega_dot += dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            # Pitch is the integral of rate, so its coefficient on pitch is
+            # exactly 1 and the update is written as an increment.
+            d_cos = amp * math.cos(freq * t)
+            omega += p01 * omega_dot + p0u * delta + p0s * d + p0c * d_cos
+            omega_dot = p11 * omega_dot + p1u * delta + p1s * d + p1c * d_cos
 
             meas = omega + noise.sample(k + 1)
             filt = kal.step(meas, delta) if kal else meas
 
-    return Trace(**cols)
+    return Trace(*rec.T)
 
 
 def run_ab_pair(config: LoopConfig, scenario: Scenario):
@@ -182,17 +164,15 @@ def run_ab_pair(config: LoopConfig, scenario: Scenario):
 
     Both legs use the same seed, so the comparison isolates the compensator.
     """
-    cfg_a = replace(config, compensator=replace(config.compensator, enabled=False))
-    cfg_b = replace(config, compensator=replace(config.compensator, enabled=True))
-    try:
-        trace_a = run_scenario(cfg_a, scenario)
-    except DivergedError as exc:
-        raise DivergedError(exc.step, leg="A") from exc
-    try:
-        trace_b = run_scenario(cfg_b, scenario)
-    except DivergedError as exc:
-        raise DivergedError(exc.step, leg="B") from exc
-    return trace_a, trace_b
+    traces = []
+    for leg, enabled in (("A", False), ("B", True)):
+        cfg = replace(config,
+                      compensator=replace(config.compensator, enabled=enabled))
+        try:
+            traces.append(run_scenario(cfg, scenario))
+        except DivergedError as exc:
+            raise DivergedError(exc.step, leg=leg) from exc
+    return tuple(traces)
 
 
 def stability_probe(config: LoopConfig, scenario: Scenario, delays):

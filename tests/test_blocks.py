@@ -13,38 +13,38 @@ from pitchpilot.errors import ConfigError, DomainError
 
 class TestPid:
     def test_constant_error(self):
-        pid = Pid(PidGains(tau_f=0.0))
         dt = 0.001
+        pid = Pid(PidGains(tau_f=0.0), dt)
         out = 0.0
         for k in range(1, 2001):
-            out = pid.step(1.0, dt)
+            out = pid.step(1.0)
         # After the first step the derivative term is zero and the trapezoid
         # integral tracks 23.4*t to within half a step.
         t = 2000 * dt
         assert out == pytest.approx(44.0 + 23.4 * t, abs=23.4 * dt)
 
     def test_zero_error(self):
-        pid = Pid(PidGains())
-        assert all(pid.step(0.0, 0.001) == 0.0 for _ in range(100))
+        pid = Pid(PidGains(), 0.001)
+        assert all(pid.step(0.0) == 0.0 for _ in range(100))
 
     def test_ramp_error(self):
-        pid = Pid(PidGains(tau_f=0.0))
         dt = 0.0005
+        pid = Pid(PidGains(tau_f=0.0), dt)
         for k in range(2001):
             t = k * dt
-            out = pid.step(t, dt)
+            out = pid.step(t)
         # Trapezoidal integration of a ramp is exact, the finite-difference
         # slope is exact, so the closed form holds exactly past step one.
         assert out == pytest.approx(44.0 * t + 11.7 * t * t + 24.0, rel=1e-12)
 
     def test_pure_proportional_is_memoryless(self):
-        pid = Pid(PidGains(k_p=3.0, k_i=0.0, k_d=0.0))
+        pid = Pid(PidGains(k_p=3.0, k_i=0.0, k_d=0.0), 0.001)
         for e in (1.0, -2.5, 0.0, 7.75):
-            assert pid.step(e, 0.001) == 3.0 * e
+            assert pid.step(e) == 3.0 * e
 
     def test_nonfinite_error_rejected(self):
         with pytest.raises(ConfigError):
-            Pid(PidGains()).step(float("inf"), 0.001)
+            Pid(PidGains(), 0.001).step(float("inf"))
 
     def test_gain_validation(self):
         with pytest.raises(DomainError):

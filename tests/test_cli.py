@@ -58,11 +58,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("override", ["loop.pid.k_p=abc",
                                           "loop.actuator.wn=abc",
-                                          "loop.plant.J_z=abc"])
+                                          "loop.plant.J_z=abc",
+                                          "scenario.seed=abc",
+                                          "scenario.seed=1.5",
+                                          "loop.noise.seed=-1"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, override):
         assert run_cli("simulate", "--out", str(tmp_path),
                        "--set", override) == EXIT_CONFIG
-        section = override.rsplit(".", 1)[0]
+        section = override.partition("=")[0].rsplit(".", 1)[0]
         assert f"'{section}'" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path):

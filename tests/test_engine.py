@@ -49,9 +49,13 @@ class TestRunScenario:
         t2 = run_scenario(quiet_config, Scenario(seed=999, duration=1.0))
         assert np.array_equal(t1.omega, t2.omega)
 
-    def test_halving_dt_converges(self, quiet_config):
-        base = run_scenario(quiet_config, Scenario(duration=4.0, dt=0.001))
-        fine = run_scenario(quiet_config, Scenario(duration=4.0, dt=0.0005))
+    @pytest.mark.parametrize("plant", [PitchPlantParams(),
+                                       PitchPlantParams(J_z=1.0, lam=2800.0)],
+                             ids=["default", "stiff"])
+    def test_halving_dt_converges(self, quiet_config, plant):
+        cfg = replace(quiet_config, plant=plant)
+        base = run_scenario(cfg, Scenario(duration=4.0, dt=0.001))
+        fine = run_scenario(cfg, Scenario(duration=4.0, dt=0.0005))
         diff = np.max(np.abs(base.omega - fine.omega[::2]))
         assert diff < 0.005 * 9.0   # < 0.5% of the 9 degree step
 
@@ -62,7 +66,8 @@ class TestRunScenario:
         assert np.all(np.abs(trace.omega_dot) <= 1e-12)
 
     @pytest.mark.parametrize("J, lam, amp, freq",
-                             [(40.0, 6.0, 1.0, 1.0), (10.0, 20.0, 3.0, 2.5)])
+                             [(40.0, 6.0, 1.0, 1.0), (10.0, 20.0, 3.0, 2.5),
+                              (1.0, 3000.0, 1.0, 1.0)])
     def test_open_loop_plant_matches_closed_form(self, J, lam, amp, freq):
         # Zero gains leave the deflection at zero, so the plant runs open
         # loop: J·w'' + lam·w' = -amp·sin(freq·t) from rest at 10 deg.
