@@ -3,9 +3,14 @@
 Each block owns its own mutable state and is advanced once per simulation
 step.  Instances are cheap; build a fresh set per run and never share them
 across runs.
+
+Every coefficient a block reads per step is a Python float, converted once
+in `__init__`: a numpy scalar would send each step's arithmetic through
+numpy's scalar machinery, about twice as slow as Python's float path.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,7 @@ class CompensatorParams:
     enabled: bool = True
 
     def __post_init__(self):
+        check_flag(self.enabled)
         if not (self.a > 0 and self.T > 0):
             raise DomainError("compensator a and T must be > 0")
 
@@ -72,6 +78,7 @@ class NoiseParams:
     seed: int | None = None   # None -> use the scenario seed
 
     def __post_init__(self):
+        check_flag(self.enabled)
         if self.variance < 0:
             raise DomainError("noise variance must be >= 0")
         if not self.sample_time > 0:
@@ -102,6 +109,7 @@ class KalmanParams:
     r: float = 0.1          # measurement variance (deg²)
 
     def __post_init__(self):
+        check_flag(self.enabled)
         if self.q_omega < 0 or self.q_rate < 0:
             raise DomainError("process noise intensities must be >= 0")
         if not self.r > 0:
@@ -133,6 +141,20 @@ def check_seed(seed):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def check_flag(enabled):
+    """DomainError unless `enabled` is a bool: a truthy string such as
+    "maybe" must not switch a block on."""
+    if not isinstance(enabled, bool):
+        raise DomainError(f"enabled must be true or false, got {enabled!r}")
+
+
+def check_real(value, name):
+    """DomainError unless `value` is a finite real number (bool excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+
+
 def _zoh(A, B, dt):
     """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u."""
     if not dt > 0:
@@ -147,8 +169,9 @@ def _zoh(A, B, dt):
 
 def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
     """Exact ZOH map of the plant and the disturbance oscillator s' = f·c,
-    c' = -f·s (Van Loan 1978): rows give the pitch increment and next rate
-    from (rate, delta, amp·sin(f·t), amp·cos(f·t)) at the step start."""
+    c' = -f·s (Van Loan 1978): two rows of floats give the pitch increment
+    and next rate from (rate, delta, amp·sin(f·t), amp·cos(f·t)) at the
+    step start."""
     A, B = plant.model()
     f = disturbance.frequency
     Ae = np.zeros((4, 4))
@@ -156,7 +179,7 @@ def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
     Ae[:2, 2] = -B
     Ae[2, 3], Ae[3, 2] = f, -f
     Ad, Bd = _zoh(Ae, np.concatenate((B, [0.0, 0.0])), dt)
-    return np.column_stack((Ad[:2, 1], Bd[:2], Ad[:2, 2:]))
+    return np.column_stack((Ad[:2, 1], Bd[:2], Ad[:2, 2:])).tolist()
 
 
 def _steps(value, dt, what):
@@ -181,9 +204,10 @@ class Pid:
     def __init__(self, gains: PidGains, dt):
         if not dt > 0:
             raise ConfigError("dt must be > 0")
-        self.gains = gains
-        self.dt = dt
-        self.alpha = dt / (gains.tau_f + dt)
+        self.k_p, self.k_i, self.k_d = (
+            float(gains.k_p), float(gains.k_i), float(gains.k_d))
+        self.dt = float(dt)
+        self.alpha = float(dt / (gains.tau_f + dt))
         self.integral = 0.0
         self.d_filt = 0.0
         self.prev_error = 0.0
@@ -191,11 +215,12 @@ class Pid:
     def step(self, error):
         if not math.isfinite(error):
             raise ConfigError(f"non-finite PID error {error}")
-        g, dt, prev = self.gains, self.dt, self.prev_error
+        dt, prev = self.dt, self.prev_error
         self.integral += 0.5 * (error + prev) * dt
         self.d_filt += self.alpha * ((error - prev) / dt - self.d_filt)
         self.prev_error = error
-        return g.k_p * error + g.k_i * self.integral + g.k_d * self.d_filt
+        return (self.k_p * error + self.k_i * self.integral
+                + self.k_d * self.d_filt)
 
 
 class Lead:
@@ -214,10 +239,10 @@ class Lead:
                 " (need dt <= T/2)")
         self.params = params
         c = 2.0 * params.T / dt
-        self.b0 = params.a * c + 1.0
-        self.b1 = 1.0 - params.a * c
-        self.a0 = c + 1.0
-        self.a1 = 1.0 - c
+        self.b0 = float(params.a * c + 1.0)
+        self.b1 = float(1.0 - params.a * c)
+        self.a0 = float(c + 1.0)
+        self.a1 = float(1.0 - c)
         self.u_prev = 0.0
         self.y_prev = 0.0
 
@@ -249,10 +274,9 @@ class Actuator:
         B = np.array([0.0, params.gain * params.wn ** 2])
         Ad, Bd = _zoh(A, B, dt)
         n_slots = _steps(params.tau, dt, "actuator delay tau")
-        self.a00, self.a01 = Ad[0, 0], Ad[0, 1]
-        self.a10, self.a11 = Ad[1, 0], Ad[1, 1]
-        self.b_0, self.b_1 = Bd
-        steady = params.gain * initial
+        (self.a00, self.a01), (self.a10, self.a11) = Ad.tolist()
+        self.b_0, self.b_1 = Bd.tolist()
+        steady = float(params.gain * initial)
         self.x0 = steady
         self.x1 = 0.0
         self.buf = [steady] * n_slots
@@ -283,11 +307,11 @@ class Kalman:
         Ad, Bd = _zoh(*plant.model(), dt)
         # The transition matrix is upper triangular for this plant; keep the
         # filter in scalar form so a 10^4-step run stays cheap.
-        (_, self.f01), (_, self.f11) = Ad
-        self.g0, self.g1 = Bd
-        self.q00 = params.q_omega * dt
-        self.q11 = params.q_rate * dt
-        self.r = params.r
+        (_, self.f01), (_, self.f11) = Ad.tolist()
+        self.g0, self.g1 = Bd.tolist()
+        self.q00 = float(params.q_omega * dt)
+        self.q11 = float(params.q_rate * dt)
+        self.r = float(params.r)
         self.x0 = float(initial_pitch)
         self.x1 = 0.0
         self.p00, self.p01, self.p11 = 1.0, 0.0, 1.0

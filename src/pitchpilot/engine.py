@@ -16,7 +16,8 @@ import numpy as np
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, Kalman, KalmanParams, Lead,
                      NoiseParams, NoiseSource, Pid, PidGains,
-                     PitchPlantParams, check_seed, disturbance_at, plant_step)
+                     PitchPlantParams, check_real, check_seed, disturbance_at,
+                     plant_step)
 from .errors import ConfigError, DivergedError
 
 
@@ -53,6 +54,8 @@ class Scenario:
                 f"dt={self.dt} too coarse for the 50 rad/s actuator"
                 " (need dt <= 0.005)")
         check_seed(self.seed)
+        check_real(self.initial, "initial")
+        check_real(self.command, "command")
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     Deterministic given (config, scenario).  Raises DivergedError with the
     offending step index if any signal goes non-finite.
     """
-    dt = scenario.dt
+    dt = float(scenario.dt)
     n_steps = int(round(scenario.duration / dt))
     n = n_steps + 1
     rec = np.empty((n, len(TRACE_COLUMNS)))
@@ -115,9 +118,11 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     noise = NoiseSource(config.noise, dt, seed)
     kal = (Kalman(config.kalman, config.plant, dt, scenario.initial)
            if config.kalman.enabled else None)
+    amp = float(config.disturbance.amplitude)
+    freq = float(config.disturbance.frequency)
+    dist = DisturbanceParams(amp, freq)
     (p01, p0u, p0s, p0c), (p11, p1u, p1s, p1c) = plant_step(
-        config.plant, config.disturbance, dt)
-    amp, freq = config.disturbance.amplitude, config.disturbance.frequency
+        config.plant, dist, dt)
 
     omega = float(scenario.initial)
     omega_dot = 0.0
@@ -128,33 +133,30 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     meas = omega + noise.sample(0)
     filt = kal.assimilate(meas) if kal else meas
 
-    # Overflow past the finiteness check below is reported as DivergedError,
-    # so numpy's own overflow warnings are just noise here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            t = k * dt
-            err = cmd - filt
-            u_pid = pid.step(err)
-            u_lead = lead.step(u_pid) if lead else u_pid
-            delta = act.step(u_lead)
-            d = disturbance_at(config.disturbance, t)
-            rec[k] = (t, cmd, omega, omega_dot, meas, filt, err, u_pid, u_lead,
-                      delta, d)
+    for k in range(n):
+        t = k * dt
+        err = cmd - filt
+        u_pid = pid.step(err)
+        u_lead = lead.step(u_pid) if lead else u_pid
+        delta = act.step(u_lead)
+        d = disturbance_at(dist, t)
+        rec[k] = (t, cmd, omega, omega_dot, meas, filt, err, u_pid, u_lead,
+                  delta, d)
 
-            if not (math.isfinite(omega) and math.isfinite(delta)
-                    and math.isfinite(u_pid)):
-                raise DivergedError(k)
-            if k == n_steps:
-                break
+        if not (math.isfinite(omega) and math.isfinite(delta)
+                and math.isfinite(u_pid)):
+            raise DivergedError(k)
+        if k == n_steps:
+            break
 
-            # Pitch is the integral of rate, so its coefficient on pitch is
-            # exactly 1 and the update is written as an increment.
-            d_cos = amp * math.cos(freq * t)
-            omega += p01 * omega_dot + p0u * delta + p0s * d + p0c * d_cos
-            omega_dot = p11 * omega_dot + p1u * delta + p1s * d + p1c * d_cos
+        # Pitch is the integral of rate, so its coefficient on pitch is
+        # exactly 1 and the update is written as an increment.
+        d_cos = amp * math.cos(freq * t)
+        omega += p01 * omega_dot + p0u * delta + p0s * d + p0c * d_cos
+        omega_dot = p11 * omega_dot + p1u * delta + p1s * d + p1c * d_cos
 
-            meas = omega + noise.sample(k + 1)
-            filt = kal.step(meas, delta) if kal else meas
+        meas = omega + noise.sample(k + 1)
+        filt = kal.step(meas, delta) if kal else meas
 
     return Trace(*rec.T)
 

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 from pitchpilot.blocks import DisturbanceParams, NoiseParams
 from pitchpilot.engine import LoopConfig, Scenario, run_ab_pair
@@ -54,3 +55,20 @@ def noise_pairs(noisy_config):
     for seed in range(10):
         pairs[seed] = run_ab_pair(noisy_config, Scenario(seed=seed))
     return pairs
+
+
+def _float64_fields(params):
+    """`params` with every float field, sub-sections included, as
+    np.float64."""
+    return replace(params, **{
+        f.name: (_float64_fields(getattr(params, f.name))
+                 if is_dataclass(f.type)
+                 else np.float64(getattr(params, f.name)))
+        for f in fields(params) if f.type is float or is_dataclass(f.type)})
+
+
+@pytest.fixture(scope="session")
+def as_float64():
+    """Recast a parameter dataclass the way numpy-built callers pass it,
+    e.g. `SweepSpec(values=np.linspace(...))`."""
+    return _float64_fields

@@ -7,7 +7,8 @@ from scipy.signal import cont2discrete
 from pitchpilot.blocks import (Actuator, ActuatorParams, CompensatorParams,
                                DisturbanceParams, Kalman, KalmanParams, Lead,
                                NoiseParams, NoiseSource, Pid, PidGains,
-                               PitchPlantParams, _zoh, disturbance_at)
+                               PitchPlantParams, _zoh, disturbance_at,
+                               plant_step)
 from pitchpilot.errors import ConfigError, DomainError
 
 
@@ -171,6 +172,41 @@ class TestActuator:
             ActuatorParams(wn=0.0)
         with pytest.raises(DomainError):
             ActuatorParams(gain=0.0)
+
+
+class TestLoopCoefficientsArePythonFloats:
+    """The step loop must see Python floats only: one numpy scalar turns
+    every later operation into a numpy scalar operation, about twice as slow,
+    without changing a single result."""
+
+    @pytest.mark.parametrize("float64", [False, True],
+                             ids=["default", "np.float64"])
+    def test_block_coefficients_and_outputs(self, as_float64, float64):
+        def params(cls):
+            return as_float64(cls()) if float64 else cls()
+
+        dt = 0.001
+        pid = Pid(params(PidGains), dt)
+        lead = Lead(params(CompensatorParams), dt)
+        act = Actuator(params(ActuatorParams), dt, initial=1.0)
+        kal = Kalman(params(KalmanParams), params(PitchPlantParams), dt,
+                     initial_pitch=2.0)
+        values = {f"{name}.{attr}": getattr(block, attr)
+                  for name, block, attrs in (
+                      ("pid", pid, "k_p k_i k_d alpha"),
+                      ("lead", lead, "b0 b1 a0 a1"),
+                      ("act", act, "a00 a01 a10 a11 b_0 b_1 x0"),
+                      ("kal", kal, "f01 f11 g0 g1 q00 q11 r x0"))
+                  for attr in attrs.split()}
+        rows = plant_step(params(PitchPlantParams),
+                          params(DisturbanceParams), dt)
+        values.update((f"plant_step[{i}][{j}]", v)
+                      for i, row in enumerate(rows) for j, v in enumerate(row))
+        values["pid.step"] = pid.step(1.0)
+        values["lead.step"] = lead.step(1.0)
+        values["act.step"] = act.step(1.0)
+        values["kal.step"] = kal.step(1.0, 1.0)
+        assert [n for n, v in values.items() if type(v) is not float] == []
 
 
 class TestZoh:

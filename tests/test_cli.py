@@ -61,7 +61,12 @@ class TestSimulate:
                                           "loop.plant.J_z=abc",
                                           "scenario.seed=abc",
                                           "scenario.seed=1.5",
-                                          "loop.noise.seed=-1"])
+                                          "loop.noise.seed=-1",
+                                          "scenario.initial=abc",
+                                          "scenario.command=abc",
+                                          "loop.noise.enabled=maybe",
+                                          "loop.compensator.enabled=maybe",
+                                          "loop.kalman.enabled=maybe"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, override):
         assert run_cli("simulate", "--out", str(tmp_path),
                        "--set", override) == EXIT_CONFIG

@@ -75,6 +75,18 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             cfgmod.apply_override(cfgmod.default_config(), "loop.pid", 1)
 
+    @pytest.mark.parametrize("section", ["noise", "compensator", "kalman"])
+    def test_enabled_takes_json_bool(self, tmp_path, section):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"loop": {section: {"enabled": False}}}))
+        from_file = cfgmod.loop_config_from(cfgmod.load_config(path))
+        cfg = cfgmod.apply_override(cfgmod.default_config(),
+                                    f"loop.{section}.enabled",
+                                    cfgmod.parse_value("false"))
+        from_set = cfgmod.loop_config_from(cfg)
+        assert getattr(from_file, section).enabled is False
+        assert getattr(from_set, section).enabled is False
+
     def test_value_parsing(self):
         assert cfgmod.parse_value("1.5") == 1.5
         assert cfgmod.parse_value("true") is True

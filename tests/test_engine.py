@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,21 @@ class TestRunScenario:
         with pytest.raises(DivergedError) as excinfo:
             run_scenario(cfg, Scenario(duration=10.0))
         assert excinfo.value.step > 0
+
+    def test_float64_parameters_diverge_at_the_same_step(self, quiet_config,
+                                                        as_float64):
+        # numpy scalars in the loop would warn on overflow before the
+        # finiteness check fires; the loop must run on floats regardless.
+        cfg = replace(quiet_config, pid=PidGains(k_p=1e9, k_i=0, k_d=1e9))
+        steps = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for loop, scenario in ((cfg, Scenario()),
+                                   (as_float64(cfg), as_float64(Scenario()))):
+                with pytest.raises(DivergedError) as excinfo:
+                    run_scenario(loop, scenario)
+                steps.append(excinfo.value.step)
+        assert steps[0] == steps[1]
 
     def test_tau_must_divide_dt(self, quiet_config):
         cfg = replace(quiet_config,
