@@ -1,8 +1,11 @@
 """Discrete-time signal blocks of the autopilot loop.
 
-Each block owns its own mutable state and is advanced once per simulation
-step.  Instances are cheap; build a fresh set per run and never share them
-across runs.
+Each block owns its own mutable state and is advanced a window of steps
+per call: its per-step method takes a sequence with one input per step and
+returns a list with one output per step, running the same recursion over
+local variables as a one-step call would.  Any split of the inputs into
+windows gives the same outputs and end state.  Instances are cheap; build a
+fresh set per run and never share them across runs.
 
 Every coefficient a block reads per step is a Python float, converted once
 in `__init__`: a numpy scalar would send each step's arithmetic through
@@ -182,6 +185,16 @@ def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
     return np.column_stack((Ad[:2, 1], Bd[:2], Ad[:2, 2:])).tolist()
 
 
+def finite_prefix(values):
+    """Number of leading finite entries of the sequence `values`."""
+    # One C-level sum clears the common all-finite case: an inf or nan entry
+    # always makes the sum non-finite (the converse can fail by overflow).
+    if math.isfinite(sum(values)):
+        return len(values)
+    return next((i for i, v in enumerate(values) if not math.isfinite(v)),
+                len(values))
+
+
 def _steps(value, dt, what):
     """value/dt as an int; ConfigError unless it is a whole number of steps."""
     ratio = value / dt
@@ -212,15 +225,22 @@ class Pid:
         self.d_filt = 0.0
         self.prev_error = 0.0
 
-    def step(self, error):
-        if not math.isfinite(error):
-            raise ConfigError(f"non-finite PID error {error}")
-        dt, prev = self.dt, self.prev_error
-        self.integral += 0.5 * (error + prev) * dt
-        self.d_filt += self.alpha * ((error - prev) / dt - self.d_filt)
-        self.prev_error = error
-        return (self.k_p * error + self.k_i * self.integral
-                + self.k_d * self.d_filt)
+    def step(self, errors):
+        """Controller output for each error of the window."""
+        bad = finite_prefix(errors)
+        if bad < len(errors):
+            raise ConfigError(f"non-finite PID error {errors[bad]}")
+        k_p, k_i, k_d = self.k_p, self.k_i, self.k_d
+        dt, alpha = self.dt, self.alpha
+        integral, d_filt, prev = self.integral, self.d_filt, self.prev_error
+        out = []
+        for error in errors:
+            integral += 0.5 * (error + prev) * dt
+            d_filt += alpha * ((error - prev) / dt - d_filt)
+            prev = error
+            out.append(k_p * error + k_i * integral + k_d * d_filt)
+        self.integral, self.d_filt, self.prev_error = integral, d_filt, prev
+        return out
 
 
 class Lead:
@@ -246,11 +266,17 @@ class Lead:
         self.u_prev = 0.0
         self.y_prev = 0.0
 
-    def step(self, u):
-        y = (self.b0 * u + self.b1 * self.u_prev - self.a1 * self.y_prev) / self.a0
-        self.u_prev = u
-        self.y_prev = y
-        return y
+    def step(self, inputs):
+        """Filter output for each input of the window."""
+        b0, b1, a0, a1 = self.b0, self.b1, self.a0, self.a1
+        u_prev, y = self.u_prev, self.y_prev
+        out = []
+        for u in inputs:
+            y = (b0 * u + b1 * u_prev - a1 * y) / a0
+            u_prev = u
+            out.append(y)
+        self.u_prev, self.y_prev = u_prev, y
+        return out
 
     def freq_response(self, w):
         """Complex gain of the discrete filter at angular frequency w (rad/s)."""
@@ -262,7 +288,7 @@ class Lead:
 class Actuator:
     """2nd-order servo advanced by exact zero-order-hold, then a pure delay.
 
-    The delay is a ring buffer of tau/dt slots preloaded with the steady
+    The delay line holds tau/dt servo outputs, preloaded with the steady
     deflection for `initial` command, so the output holds that value for
     exactly tau seconds regardless of the input.
     """
@@ -279,19 +305,28 @@ class Actuator:
         steady = float(params.gain * initial)
         self.x0 = steady
         self.x1 = 0.0
-        self.buf = [steady] * n_slots
-        self.idx = 0
+        self._line = [steady] * n_slots
 
-    def step(self, command):
-        x0 = self.a00 * self.x0 + self.a01 * self.x1 + self.b_0 * command
-        x1 = self.a10 * self.x0 + self.a11 * self.x1 + self.b_1 * command
+    @property
+    def pending(self):
+        """The delay line, oldest first: the deflections the next tau/dt
+        steps will output, whatever their commands."""
+        return tuple(self._line)
+
+    def step(self, commands):
+        """Delayed servo output for each command of the window."""
+        a00, a01, a10, a11 = self.a00, self.a01, self.a10, self.a11
+        b_0, b_1 = self.b_0, self.b_1
+        x0, x1 = self.x0, self.x1
+        servo = []
+        for u in commands:
+            x0, x1 = (a00 * x0 + a01 * x1 + b_0 * u,
+                      a10 * x0 + a11 * x1 + b_1 * u)
+            servo.append(x0)
         self.x0, self.x1 = x0, x1
-        if not self.buf:
-            return x0
-        out = self.buf[self.idx]
-        self.buf[self.idx] = x0
-        self.idx = (self.idx + 1) % len(self.buf)
-        return out
+        line = self._line + servo
+        self._line = line[len(servo):]
+        return line[:len(servo)]
 
 
 class Kalman:
@@ -333,16 +368,34 @@ class Kalman:
         self.p01 *= 1.0 - k0
         return self.x0
 
-    def step(self, measurement, control):
-        """Predict with the given control torque, then update; returns pitch."""
-        f01, f11 = self.f01, self.f11
-        self.x0 += f01 * self.x1 + self.g0 * control
-        self.x1 = f11 * self.x1 + self.g1 * control
-        p01f = self.p01 + f01 * self.p11
-        self.p00 += f01 * self.p01 + f01 * p01f + self.q00
-        self.p01 = p01f * f11
-        self.p11 = f11 * f11 * self.p11 + self.q11
-        return self.assimilate(measurement)
+    def step(self, measurements, controls):
+        """Per step, predict with the control torque, then update with the
+        measurement (as `assimilate` does); returns the filtered pitches."""
+        f01, f11, g0, g1 = self.f01, self.f11, self.g0, self.g1
+        q00, q11, r = self.q00, self.q11, self.r
+        x0, x1 = self.x0, self.x1
+        p00, p01, p11 = self.p00, self.p01, self.p11
+        out = []
+        for measurement, control in zip(measurements, controls):
+            x0 += f01 * x1 + g0 * control
+            x1 = f11 * x1 + g1 * control
+            p01f = p01 + f01 * p11
+            p00 += f01 * p01 + f01 * p01f + q00
+            p01 = p01f * f11
+            p11 = f11 * f11 * p11 + q11
+            S = p00 + r
+            k0 = p00 / S
+            k1 = p01 / S
+            innov = measurement - x0
+            x0 += k0 * innov
+            x1 += k1 * innov
+            p11 -= k1 * p01
+            p00 *= 1.0 - k0
+            p01 *= 1.0 - k0
+            out.append(x0)
+        self.x0, self.x1 = x0, x1
+        self.p00, self.p01, self.p11 = p00, p01, p11
+        return out
 
 
 class NoiseSource:
@@ -355,17 +408,26 @@ class NoiseSource:
         self.rng = np.random.default_rng(seed)
         self.value = 0.0
 
-    def sample(self, k):
-        """Noise value for step index k; draws fresh at each hold boundary."""
+    def sample(self, steps):
+        """Noise value for each step index of the sequence `steps`, in
+        order; draws fresh at each hold boundary."""
         if not self.enabled:
-            return 0.0
-        if k % self.hold == 0:
-            self.value = self.rng.normal(0.0, self.sigma)
-        return self.value
+            return [0.0] * len(steps)
+        hold, value = self.hold, self.value
+        out = []
+        for k in steps:
+            if k % hold == 0:
+                value = self.rng.normal(0.0, self.sigma)
+            out.append(value)
+        self.value = value
+        return out
 
 
-def disturbance_at(params: DisturbanceParams, t):
-    """Disturbance torque amplitude·sin(frequency·t) at time t >= 0."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return params.amplitude * math.sin(params.frequency * t)
+def disturbance_at(params: DisturbanceParams, times):
+    """Disturbance torque amplitude·sin(frequency·t) at each time t >= 0 of
+    the sequence `times`."""
+    first = min(times, default=0.0)
+    if first < 0:
+        raise DomainError(f"t must be >= 0, got {first}")
+    amp, freq = params.amplitude, params.frequency
+    return [amp * math.sin(freq * t) for t in times]

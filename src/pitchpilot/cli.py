@@ -82,7 +82,11 @@ def _load(args):
 
 def _outdir(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(
+            f"cannot use output directory {out}: {exc}") from exc
     return out
 
 

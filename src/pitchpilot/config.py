@@ -99,6 +99,12 @@ def _build(cls, doc, where):
                        else _build(f.default_factory, doc[f.name],
                                    f"{where}.{f.name}"))
               for f in fields(cls)}
+    # JSON true/false pass every numeric check as 1/0; only flags take them.
+    for f in fields(cls):
+        if (isinstance(kwargs[f.name], bool)
+                and not isinstance(f.default, bool)):
+            raise ConfigError(f"invalid '{where}' section: '{where}.{f.name}'"
+                              f" must be a number, got {kwargs[f.name]!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -1,11 +1,24 @@
 """Fixed-step simulation of the closed pitch-autopilot loop.
 
-Per step the blocks advance in a fixed order: error -> PID -> lead ->
-actuator -> plant -> noise -> Kalman.  The error junction uses the filtered
-pitch produced by the previous step's filter stage (one-step computational
-delay).  The plant advances by its exact zero-order-hold map, with the
-sinusoidal disturbance carried as oscillator states, so its update has no
-step-size limit; everything else is discrete-time.
+Per step the loop runs error -> PID -> lead -> actuator, then plant ->
+noise -> Kalman into the next step.  The error junction uses the pitch
+filtered from the step's own measurement, which the plant reached with the
+previous step's deflection (a one-step computational delay).
+
+The actuator's transport delay holds D = tau/dt deflections already fixed,
+so no signal crosses the loop in fewer than L = D + 1 steps.
+`run_scenario` therefore advances the loop in windows of L steps, calling
+each block once per window with one list entry per step (tau = 0 gives
+L = 1).  Per window: the plant, the noise and the Kalman filter run over
+the window, driven by the actuator's last output and its pending delay
+line; then PID -> lead -> actuator run on the window's filtered pitches.
+Each block performs the same operations in the same order as a one-step
+loop, so the trace is the same bit for bit, and one scan per window checks
+the signals in step order.
+
+The plant advances by its exact zero-order-hold map, with the sinusoidal
+disturbance carried as oscillator states, so its update has no step-size
+limit; everything else is discrete-time.
 """
 
 import math
@@ -17,7 +30,7 @@ from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, Kalman, KalmanParams, Lead,
                      NoiseParams, NoiseSource, Pid, PidGains,
                      PitchPlantParams, check_real, check_seed, disturbance_at,
-                     plant_step)
+                     finite_prefix, plant_step)
 from .errors import ConfigError, DivergedError
 
 
@@ -87,11 +100,14 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if tuple(header) != TRACE_COLUMNS:
-                raise ConfigError(f"unexpected trace header {header}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().strip().split(",")
+                if tuple(header) != TRACE_COLUMNS:
+                    raise ConfigError(f"unexpected trace header {header}")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read trace {path}: {exc}") from exc
         if data.shape[1] != len(TRACE_COLUMNS):
             raise ConfigError("trace column count mismatch")
         return cls(*data.T)
@@ -107,13 +123,13 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     offending step index if any signal goes non-finite.
     """
     dt = float(scenario.dt)
-    n_steps = int(round(scenario.duration / dt))
-    n = n_steps + 1
+    n = int(round(scenario.duration / dt)) + 1
     rec = np.empty((n, len(TRACE_COLUMNS)))
 
     pid = Pid(config.pid, dt)
     lead = Lead(config.compensator, dt) if config.compensator.enabled else None
     act = Actuator(config.actuator, dt, initial=0.0)
+    window = len(act.pending) + 1
     seed = config.noise.seed if config.noise.seed is not None else scenario.seed
     noise = NoiseSource(config.noise, dt, seed)
     kal = (Kalman(config.kalman, config.plant, dt, scenario.initial)
@@ -128,37 +144,56 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     omega_dot = 0.0
     cmd = float(scenario.command)
 
-    # Measurement pipeline for the initial sample (update-only; prediction
-    # starts with the first full step).
-    meas = omega + noise.sample(0)
-    filt = kal.assimilate(meas) if kal else meas
-
-    for k in range(n):
-        t = k * dt
-        err = cmd - filt
-        u_pid = pid.step(err)
+    # The first window is the initial sample alone, filtered by a
+    # measurement update without a prediction.
+    k0, k1 = 0, 1
+    ts = [0.0]
+    ds = disturbance_at(dist, ts)
+    omegas, rates = [omega], [omega_dot]
+    meas = [omega + v for v in noise.sample(range(1))]
+    filt = [kal.assimilate(meas[0])] if kal else meas
+    while True:
+        errors = [cmd - f for f in filt]
+        # Pid.step rejects a non-finite error, but the steps before it come
+        # first: they run, and may diverge, before it raises.
+        m = finite_prefix(errors)
+        u_pid = pid.step(errors[:m])
         u_lead = lead.step(u_pid) if lead else u_pid
         delta = act.step(u_lead)
-        d = disturbance_at(dist, t)
-        rec[k] = (t, cmd, omega, omega_dot, meas, filt, err, u_pid, u_lead,
-                  delta, d)
+        bad = min(finite_prefix(omegas), finite_prefix(delta),
+                  finite_prefix(u_pid))
+        if bad < m:
+            raise DivergedError(k0 + bad)
+        if m < len(errors):
+            pid.step(errors[m:])   # raises ConfigError naming errors[m]
+        # Row-major (step, column) storage keeps each step's values
+        # adjacent for the row-by-row CSV writer.
+        for col, values in enumerate((ts, cmd, omegas, rates, meas, filt,
+                                      errors, u_pid, u_lead, delta, ds)):
+            rec[k0:k1, col] = values
+        if k1 == n:
+            return Trace(*rec.T)
 
-        if not (math.isfinite(omega) and math.isfinite(delta)
-                and math.isfinite(u_pid)):
-            raise DivergedError(k)
-        if k == n_steps:
-            break
-
-        # Pitch is the integral of rate, so its coefficient on pitch is
-        # exactly 1 and the update is written as an increment.
-        d_cos = amp * math.cos(freq * t)
-        omega += p01 * omega_dot + p0u * delta + p0s * d + p0c * d_cos
-        omega_dot = p11 * omega_dot + p1u * delta + p1s * d + p1c * d_cos
-
-        meas = omega + noise.sample(k + 1)
-        filt = kal.step(meas, delta) if kal else meas
-
-    return Trace(*rec.T)
+        # The next window's plant steps start from steps k1-1 .. k2-2, whose
+        # deflections the actuator has already fixed: its last output and
+        # its delay line.
+        k2 = min(k1 + window, n)
+        drive = [delta[-1], *act.pending][:k2 - k1]
+        t_from, d_from = [ts[-1]], [ds[-1]]
+        k0, k1 = k1, k2
+        ts = [k * dt for k in range(k0, k1)]
+        ds = disturbance_at(dist, ts)
+        omegas, rates = [], []
+        for u, d, t in zip(drive, d_from + ds, t_from + ts):
+            # Pitch is the integral of rate, so its coefficient on pitch is
+            # exactly 1 and the update is written as an increment.
+            d_cos = amp * math.cos(freq * t)
+            omega += p01 * omega_dot + p0u * u + p0s * d + p0c * d_cos
+            omega_dot = p11 * omega_dot + p1u * u + p1s * d + p1c * d_cos
+            omegas.append(omega)
+            rates.append(omega_dot)
+        meas = [w + v for w, v in zip(omegas, noise.sample(range(k0, k1)))]
+        filt = kal.step(meas, drive) if kal else meas
 
 
 def run_ab_pair(config: LoopConfig, scenario: Scenario):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.signal import cont2discrete
 
 from pitchpilot.blocks import (Actuator, ActuatorParams, CompensatorParams,
@@ -16,9 +17,7 @@ class TestPid:
     def test_constant_error(self):
         dt = 0.001
         pid = Pid(PidGains(tau_f=0.0), dt)
-        out = 0.0
-        for k in range(1, 2001):
-            out = pid.step(1.0)
+        out = pid.step([1.0] * 2000)[-1]
         # After the first step the derivative term is zero and the trapezoid
         # integral tracks 23.4*t to within half a step.
         t = 2000 * dt
@@ -26,26 +25,25 @@ class TestPid:
 
     def test_zero_error(self):
         pid = Pid(PidGains(), 0.001)
-        assert all(pid.step(0.0) == 0.0 for _ in range(100))
+        assert pid.step([0.0] * 100) == [0.0] * 100
 
     def test_ramp_error(self):
         dt = 0.0005
         pid = Pid(PidGains(tau_f=0.0), dt)
-        for k in range(2001):
-            t = k * dt
-            out = pid.step(t)
+        out = pid.step([k * dt for k in range(2001)])[-1]
+        t = 2000 * dt
         # Trapezoidal integration of a ramp is exact, the finite-difference
         # slope is exact, so the closed form holds exactly past step one.
         assert out == pytest.approx(44.0 * t + 11.7 * t * t + 24.0, rel=1e-12)
 
     def test_pure_proportional_is_memoryless(self):
         pid = Pid(PidGains(k_p=3.0, k_i=0.0, k_d=0.0), 0.001)
-        for e in (1.0, -2.5, 0.0, 7.75):
-            assert pid.step(e) == 3.0 * e
+        errors = [1.0, -2.5, 0.0, 7.75]
+        assert pid.step(errors) == [3.0 * e for e in errors]
 
     def test_nonfinite_error_rejected(self):
         with pytest.raises(ConfigError):
-            Pid(PidGains(), 0.001).step(float("inf"))
+            Pid(PidGains(), 0.001).step([float("inf")])
 
     def test_gain_validation(self):
         with pytest.raises(DomainError):
@@ -57,11 +55,9 @@ class TestPid:
 class TestLead:
     def test_unit_dc_gain(self):
         lead = Lead(CompensatorParams(), dt=0.001)
-        for k in range(50):
-            y = lead.step(3.0)
+        y = lead.step([3.0] * 50)[-1]
         assert y == pytest.approx(3.0, abs=0.25)  # ~5T of settling
-        for k in range(200):
-            y = lead.step(3.0)
+        y = lead.step([3.0] * 200)[-1]
         assert y == pytest.approx(3.0, abs=1e-6)
 
     def test_step_response_matches_continuous(self):
@@ -74,8 +70,7 @@ class TestLead:
                             (0.005, 1 + (a - 1) * math.exp(-0.5)),
                             (0.02, 1 + (a - 1) * math.exp(-2.0))]:
             fine2 = Lead(CompensatorParams(a=a, T=T), dt=dt_fine)
-            for _ in range(int(round(t / dt_fine))):
-                y = fine2.step(1.0)
+            y = fine2.step([1.0] * int(round(t / dt_fine)))[-1]
             assert y == pytest.approx(expected, rel=2e-3)
 
     def test_geometric_mean_frequency_gain(self):
@@ -95,12 +90,8 @@ class TestLead:
         dt = 0.002
         coarse = Lead(CompensatorParams(), dt=dt)
         fine = Lead(CompensatorParams(), dt=dt / 2)
-        y_coarse = [coarse.step(u((k + 1) * dt)) for k in range(500)]
-        y_fine = []
-        for k in range(1000):
-            y = fine.step(u((k + 1) * dt / 2))
-            if k % 2 == 1:
-                y_fine.append(y)
+        y_coarse = coarse.step([u((k + 1) * dt) for k in range(500)])
+        y_fine = fine.step([u((k + 1) * dt / 2) for k in range(1000)])[1::2]
         for a, b in zip(y_coarse[3:], y_fine[3:]):
             assert abs(a - b) <= 0.01 * max(abs(b), 0.1)
 
@@ -118,19 +109,18 @@ class TestLead:
 class TestActuator:
     def test_pure_delay_hold(self):
         act = Actuator(ActuatorParams(), dt=0.001, initial=0.0)
-        outputs = [act.step(math.sin(k)) for k in range(100)]
+        outputs = act.step([math.sin(k) for k in range(100)])
         assert outputs == [0.0] * 100
 
     def test_unit_step_dc_gain(self):
         act = Actuator(ActuatorParams(), dt=0.001)
-        for _ in range(3000):
-            y = act.step(1.0)
+        y = act.step([1.0] * 3000)[-1]
         assert y == pytest.approx(7.0, rel=1e-6)
 
     def test_unit_step_peak(self):
         params = ActuatorParams()
         act = Actuator(params, dt=0.001)
-        ys = np.array([act.step(1.0) for _ in range(1000)])
+        ys = np.array(act.step([1.0] * 1000))
         t = np.arange(1, 1001) * 0.001
         peak = params.gain * (1 + math.exp(-math.pi * params.mu
                                            / math.sqrt(1 - params.mu ** 2)))
@@ -145,7 +135,7 @@ class TestActuator:
         params = ActuatorParams(tau=0.0)
         dt = 0.001
         act = Actuator(params, dt=dt)
-        coarse = [act.step(1.0) for _ in range(200)]
+        coarse = act.step([1.0] * 200)
         h = dt / 100
         x0 = x1 = 0.0
         dense = []
@@ -202,10 +192,10 @@ class TestLoopCoefficientsArePythonFloats:
                           params(DisturbanceParams), dt)
         values.update((f"plant_step[{i}][{j}]", v)
                       for i, row in enumerate(rows) for j, v in enumerate(row))
-        values["pid.step"] = pid.step(1.0)
-        values["lead.step"] = lead.step(1.0)
-        values["act.step"] = act.step(1.0)
-        values["kal.step"] = kal.step(1.0, 1.0)
+        values["pid.step"], = pid.step([1.0])
+        values["lead.step"], = lead.step([1.0])
+        values["act.step"], = act.step([1.0])
+        values["kal.step"], = kal.step([1.0], [1.0])
         assert [n for n, v in values.items() if type(v) is not float] == []
 
 
@@ -240,21 +230,19 @@ class TestKalman:
 
     def test_huge_r_ignores_measurement(self):
         kal = Kalman(KalmanParams(r=1e12), self.plant, dt=0.001, initial_pitch=5.0)
-        for _ in range(200):
-            est = kal.step(measurement=500.0, control=0.0)
+        est = kal.step(measurements=[500.0] * 200, controls=[0.0] * 200)[-1]
         assert est == pytest.approx(5.0, abs=1e-3)
 
     def test_tiny_r_tracks_measurement(self):
         kal = Kalman(KalmanParams(r=1e-12), self.plant, dt=0.001, initial_pitch=0.0)
-        est = kal.step(measurement=3.21, control=0.0)
+        est, = kal.step(measurements=[3.21], controls=[0.0])
         assert est == pytest.approx(3.21, abs=1e-6)
 
     def test_steady_state_gain_matches_riccati(self):
         dt = 0.001
         params = KalmanParams()
         kal = Kalman(params, self.plant, dt=dt)
-        for _ in range(20000):
-            kal.step(0.0, 0.0)
+        kal.step([0.0] * 20000, [0.0] * 20000)
         # Reconstruct the predicted pitch variance the next update would see.
         p01f = kal.p01 + kal.f01 * kal.p11
         p00_pred = kal.p00 + kal.f01 * kal.p01 + kal.f01 * p01f + kal.q00
@@ -275,7 +263,7 @@ class TestKalman:
         kal = Kalman(KalmanParams(), self.plant, dt=0.001)
         prev = np.trace(kal.P)
         for _ in range(500):
-            kal.step(0.0, 0.0)
+            kal.step([0.0], [0.0])
             cur = np.trace(kal.P)
             assert cur <= prev + 1e-12
             assert np.all(np.linalg.eigvalsh(kal.P) > 0)
@@ -292,7 +280,7 @@ class TestKalman:
         for k in range(100):
             u = math.sin(0.1 * k)
             x = F @ x + G * u
-            est = kal.step(x[0], u)
+            est, = kal.step([x[0]], [u])
             assert est == pytest.approx(x[0], abs=1e-12)
 
     def test_r_validation(self):
@@ -303,23 +291,23 @@ class TestKalman:
 class TestNoise:
     def test_zero_variance(self):
         src = NoiseSource(NoiseParams(variance=0.0), dt=0.001, seed=1)
-        assert all(src.sample(k) == 0.0 for k in range(1000))
+        assert src.sample(range(1000)) == [0.0] * 1000
 
     def test_statistical_oracle(self):
         src = NoiseSource(NoiseParams(variance=0.1, sample_time=0.01),
                           dt=0.01, seed=42)
-        draws = np.array([src.sample(k) for k in range(100000)])
+        draws = np.array(src.sample(range(100000)))
         assert abs(draws.mean()) < 0.01
         assert draws.var() == pytest.approx(0.1, rel=0.10)
 
     def test_determinism(self):
         a = NoiseSource(NoiseParams(), dt=0.001, seed=7)
         b = NoiseSource(NoiseParams(), dt=0.001, seed=7)
-        assert [a.sample(k) for k in range(500)] == [b.sample(k) for k in range(500)]
+        assert a.sample(range(500)) == b.sample(range(500))
 
     def test_zero_order_hold(self):
         src = NoiseSource(NoiseParams(sample_time=0.01), dt=0.001, seed=3)
-        values = [src.sample(k) for k in range(30)]
+        values = src.sample(range(30))
         assert len(set(values[:10])) == 1
         assert len(set(values[10:20])) == 1
         assert values[0] != values[10]
@@ -331,20 +319,112 @@ class TestNoise:
 
 class TestDisturbance:
     def test_zero_time(self):
-        assert disturbance_at(DisturbanceParams(), 0.0) == 0.0
+        assert disturbance_at(DisturbanceParams(), [0.0]) == [0.0]
 
     def test_quarter_period(self):
         assert disturbance_at(DisturbanceParams(amplitude=1.0, frequency=1.0),
-                              math.pi / 2) == pytest.approx(1.0)
+                              [math.pi / 2]) == pytest.approx([1.0])
 
     def test_direct_evaluation(self):
         assert disturbance_at(DisturbanceParams(amplitude=2.0, frequency=3.0),
-                              1.0) == pytest.approx(2 * math.sin(3), rel=1e-12)
+                              [1.0]) == pytest.approx([2 * math.sin(3)],
+                                                      rel=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
-            disturbance_at(DisturbanceParams(), -0.1)
+            disturbance_at(DisturbanceParams(), [-0.1])
 
     def test_param_validation(self):
         with pytest.raises(DomainError):
             DisturbanceParams(amplitude=-1.0)
+
+
+signal = st.floats(min_value=-1e3, max_value=1e3,
+                   allow_nan=False, allow_infinity=False)
+cut_points = st.lists(st.integers(0, 200), max_size=8)
+
+
+def _windows(values, cuts):
+    """`values` split at `cuts` (clamped to its length; a repeated cut
+    gives an empty window)."""
+    bounds = [0, *sorted(min(c, len(values)) for c in cuts), len(values)]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _state(block):
+    """Every attribute of `block`, a random generator by its state."""
+    return {name: (value.bit_generator.state
+                   if isinstance(value, np.random.Generator) else value)
+            for name, value in vars(block).items()}
+
+
+def _assert_split_invariant(make, step, values, cuts):
+    """`step(block, window)` over `values` as one window, as the windows
+    split at `cuts`, and one value per window: equal outputs, equal end
+    states."""
+    results = []
+    for windows in ([values], _windows(values, cuts),
+                    [values[i:i + 1] for i in range(len(values))]):
+        block = make()
+        outputs = [y for window in windows for y in step(block, window)]
+        results.append((outputs, _state(block)))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+class TestWindowSplits:
+    """A block's outputs and end state do not depend on how its inputs are
+    split into windows, so the engine's window length cannot move a
+    result."""
+
+    @given(values=st.lists(signal, max_size=200), cuts=cut_points)
+    def test_pid(self, values, cuts):
+        _assert_split_invariant(lambda: Pid(PidGains(), 0.001), Pid.step,
+                                values, cuts)
+
+    @given(values=st.lists(signal, max_size=200), cuts=cut_points)
+    def test_lead(self, values, cuts):
+        _assert_split_invariant(lambda: Lead(CompensatorParams(), 0.001),
+                                Lead.step, values, cuts)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @given(values=st.lists(signal, max_size=200), cuts=cut_points)
+    def test_actuator(self, tau, values, cuts):
+        _assert_split_invariant(
+            lambda: Actuator(ActuatorParams(tau=tau), 0.001, initial=0.5),
+            Actuator.step, values, cuts)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @given(values=st.lists(signal, max_size=200), later=signal)
+    def test_actuator_pending_is_its_next_output(self, tau, values, later):
+        act = Actuator(ActuatorParams(tau=tau), 0.001, initial=0.5)
+        act.step(values)
+        pending = act.pending
+        assert len(pending) == round(tau / 0.001)
+        assert act.step([later] * len(pending)) == list(pending)
+
+    @given(values=st.lists(st.tuples(signal, signal), max_size=200),
+           cuts=cut_points)
+    def test_kalman(self, values, cuts):
+        def step(kal, window):
+            return kal.step([z for z, _ in window], [u for _, u in window])
+
+        _assert_split_invariant(
+            lambda: Kalman(KalmanParams(), PitchPlantParams(), 0.001, 2.0),
+            step, values, cuts)
+
+    # A hold is 10 steps; the example's windows start and end inside holds.
+    @example(start=3, count=25, cuts=[4, 15])
+    @given(start=st.integers(0, 30), count=st.integers(0, 200),
+           cuts=cut_points)
+    def test_noise(self, start, count, cuts):
+        _assert_split_invariant(
+            lambda: NoiseSource(NoiseParams(sample_time=0.01), 0.001, 3),
+            NoiseSource.sample, list(range(start, start + count)), cuts)
+
+    @given(values=st.lists(st.floats(0.0, 1e3), max_size=200),
+           cuts=cut_points)
+    def test_disturbance(self, values, cuts):
+        _assert_split_invariant(
+            lambda: DisturbanceParams(amplitude=2.0, frequency=3.0),
+            disturbance_at, values, cuts)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pitchpilot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from pitchpilot.engine import Trace
+from pitchpilot.engine import TRACE_COLUMNS, Trace
 
 QUIET = ["--no-noise", "--set", "loop.disturbance.amplitude=0"]
 
@@ -66,9 +66,14 @@ class TestSimulate:
                                           "scenario.command=abc",
                                           "loop.noise.enabled=maybe",
                                           "loop.compensator.enabled=maybe",
-                                          "loop.kalman.enabled=maybe"])
+                                          "loop.kalman.enabled=maybe",
+                                          "loop.pid.k_p=true",
+                                          "loop.disturbance.amplitude=true",
+                                          "scenario.duration=true",
+                                          "missile.m=true"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, override):
-        assert run_cli("simulate", "--out", str(tmp_path),
+        command = "size" if override.startswith("missile.") else "simulate"
+        assert run_cli(command, "--out", str(tmp_path),
                        "--set", override) == EXIT_CONFIG
         section = override.partition("=")[0].rsplit(".", 1)[0]
         assert f"'{section}'" in capsys.readouterr().err
@@ -78,6 +83,12 @@ class TestSimulate:
                        "--set", "loop.pid.k_p=1e9",
                        "--set", "loop.pid.k_d=1e9", *QUIET)
         assert code == EXIT_DIVERGED
+
+    def test_default_run_divergence_exit_code(self, tmp_path):
+        # Diverges at step 9244 with a non-finite PID error later in the
+        # same loop-delay window.
+        assert run_cli("simulate", "--out", str(tmp_path), "--set",
+                       "loop.actuator.gain=1e6") == EXIT_DIVERGED
 
 
 class TestAb:
@@ -154,3 +165,18 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert "rise time" in out
         assert "pass" in out
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "ragged",
+                                      "non-numeric", "out-is-a-file"])
+    def test_unusable_path_exit_code(self, tmp_path, capsys, case):
+        header, row = ",".join(TRACE_COLUMNS), ",".join(["0.0"] * 11)
+        contents = {"ragged": f"{header}\n{row}\n0.0,1.0\n",
+                    "non-numeric": f"{header}\nabc{row[3:]}\n",
+                    "out-is-a-file": ""}
+        path = tmp_path if case == "directory" else tmp_path / "trace.csv"
+        if case in contents:
+            path.write_text(contents[case])
+        argv = (["simulate", "--duration", "0.05", "--out", str(path)]
+                if case == "out-is-a-file" else ["metrics", "--trace", str(path)])
+        assert run_cli(*argv) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pitchpilot.blocks import (DisturbanceParams, NoiseParams, PidGains,
-                               PitchPlantParams)
-from pitchpilot.engine import (LoopConfig, Scenario, Trace, run_ab_pair,
-                               run_scenario, stability_probe)
+from pitchpilot.blocks import (ActuatorParams, CompensatorParams,
+                               DisturbanceParams, KalmanParams, NoiseParams,
+                               PidGains, PitchPlantParams)
+from pitchpilot.engine import (TRACE_COLUMNS, LoopConfig, Scenario, Trace,
+                               run_ab_pair, run_scenario, stability_probe)
 from pitchpilot.errors import ConfigError, DivergedError
 
 
@@ -120,6 +121,40 @@ class TestRunScenario:
                       noise=replace(noisy_config.noise, sample_time=0.0015))
         with pytest.raises(ConfigError):
             run_scenario(cfg, Scenario(duration=1.0))
+
+
+class TestWindows:
+    """run_scenario advances the loop tau/dt + 1 steps at a time."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1, 0.26])
+    def test_shorter_runs_are_exact_prefixes(self, tau):
+        # 0.05 s and 0.101 s end inside the first windows at tau > 0.
+        cfg = LoopConfig(actuator=ActuatorParams(tau=tau))
+        full = run_scenario(cfg, Scenario(duration=2.0))
+        for duration in (0.05, 0.101, 0.2, 1.0):
+            part = run_scenario(cfg, Scenario(duration=duration))
+            assert len(part) == round(duration / 0.001) + 1
+            for name in TRACE_COLUMNS:
+                assert (getattr(part, name).tobytes()
+                        == getattr(full, name)[:len(part)].tobytes()), name
+
+    # In each run a PID error goes non-finite later in the window that
+    # diverges, so the checks must run in step order to report the
+    # divergence; the steps were measured on the per-step loop.
+    @pytest.mark.parametrize("gain, a, step", [(1e6, 11.0, 9244),
+                                               (5e4, 1e3, 8084),
+                                               (5e3, 1e300, 106)])
+    def test_divergence_is_reported_at_its_step(self, gain, a, step):
+        cfg = LoopConfig(actuator=ActuatorParams(gain=gain),
+                         compensator=CompensatorParams(a=a))
+        with pytest.raises(DivergedError) as excinfo:
+            run_scenario(cfg, Scenario())
+        assert excinfo.value.step == step
+
+    def test_nan_process_noise_is_a_config_error(self):
+        cfg = LoopConfig(kalman=KalmanParams(q_rate=float("nan")))
+        with pytest.raises(ConfigError, match="non-finite PID error nan"):
+            run_scenario(cfg, Scenario())
 
 
 class TestAbPair:
