@@ -8,7 +8,7 @@ radian unless noted.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularConfigurationError
+from .errors import DomainError, SingularConfigurationError, validate_fields
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,12 @@ class MissileConfig:
     h: float = 6000.0         # altitude (m)
 
     def __post_init__(self):
-        positives = {
-            "d": self.d, "l_M": self.l_M, "l_N": self.l_N, "l_B": self.l_B,
-            "l_BT": self.l_BT, "A_e": self.A_e, "b": self.b, "S_W": self.S_W,
-            "S_T": self.S_T, "S_ref": self.S_ref, "AR": self.AR,
-            "C_MAC": self.C_MAC, "m": self.m, "J_z": self.J_z,
-        }
-        for name, value in positives.items():
-            if not value > 0:
-                raise DomainError(f"MissileConfig.{name} must be > 0, got {value}")
-        expected = math.pi / 4 * self.d ** 2
+        validate_fields(self)
+        for name in ("d", "l_M", "l_N", "l_B", "l_BT", "A_e", "b", "S_W",
+                     "S_T", "S_ref", "AR", "C_MAC", "m", "J_z"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"MissileConfig.{name} must be > 0")
+        expected = math.pi / 4 * (self.d * self.d)   # `**` can overflow
         if abs(self.S_ref - expected) > 1e-9 * expected:
             raise DomainError(
                 f"S_ref must equal (pi/4)*d^2 = {expected!r}, got {self.S_ref!r}")
@@ -72,6 +68,9 @@ class AeroDerivatives:
     C_Ma: float = -0.300
     C_Ld: float = 0.208
     C_Md: float = 0.267
+
+    def __post_init__(self):
+        validate_fields(self)
 
     @property
     def statically_stable(self):
@@ -101,6 +100,7 @@ class TailSizingInputs:
     C_Na_tail: float = 0.262
 
     def __post_init__(self):
+        validate_fields(self)
         for name in ("d", "S_W", "S_ref"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"TailSizingInputs.{name} must be > 0")

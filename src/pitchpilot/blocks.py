@@ -13,13 +13,12 @@ numpy's scalar machinery, about twice as slow as Python's float path.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, validate_fields
 
 
 @dataclass(frozen=True)
@@ -32,9 +31,7 @@ class PidGains:
     tau_f: float = 0.055   # derivative filter time constant (s)
 
     def __post_init__(self):
-        for name in ("k_p", "k_i", "k_d", "tau_f"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"PidGains.{name} must be finite")
+        validate_fields(self)
         if self.tau_f < 0:
             raise DomainError("tau_f must be >= 0")
 
@@ -48,7 +45,7 @@ class CompensatorParams:
     enabled: bool = True
 
     def __post_init__(self):
-        check_flag(self.enabled)
+        validate_fields(self)
         if not (self.a > 0 and self.T > 0):
             raise DomainError("compensator a and T must be > 0")
 
@@ -63,6 +60,7 @@ class ActuatorParams:
     tau: float = 0.1
 
     def __post_init__(self):
+        validate_fields(self)
         if not (self.wn > 0 and self.mu > 0):
             raise DomainError("wn and mu must be > 0")
         if self.tau < 0:
@@ -81,13 +79,11 @@ class NoiseParams:
     seed: int | None = None   # None -> use the scenario seed
 
     def __post_init__(self):
-        check_flag(self.enabled)
+        validate_fields(self)
         if self.variance < 0:
             raise DomainError("noise variance must be >= 0")
         if not self.sample_time > 0:
             raise DomainError("noise sample_time must be > 0")
-        if self.seed is not None:
-            check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -98,6 +94,7 @@ class DisturbanceParams:
     frequency: float = 1.0   # rad/s
 
     def __post_init__(self):
+        validate_fields(self)
         if self.amplitude < 0 or self.frequency < 0:
             raise DomainError("disturbance amplitude and frequency must be >= 0")
 
@@ -112,11 +109,11 @@ class KalmanParams:
     r: float = 0.1          # measurement variance (deg²)
 
     def __post_init__(self):
-        check_flag(self.enabled)
+        validate_fields(self)
         if self.q_omega < 0 or self.q_rate < 0:
             raise DomainError("process noise intensities must be >= 0")
         if not self.r > 0:
-            raise ConfigError("measurement variance r must be > 0")
+            raise DomainError("measurement variance r must be > 0")
 
 
 @dataclass(frozen=True)
@@ -127,6 +124,7 @@ class PitchPlantParams:
     lam: float = 6.0    # aerodynamic resistance (torque per unit rate)
 
     def __post_init__(self):
+        validate_fields(self)
         if not self.J_z > 0:
             raise DomainError(f"J_z must be > 0, got {self.J_z}")
         if self.lam < 0:
@@ -138,26 +136,6 @@ class PitchPlantParams:
                 np.array([0.0, 1.0 / self.J_z]))
 
 
-def check_seed(seed):
-    """DomainError unless `seed` is a non-negative int."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def check_flag(enabled):
-    """DomainError unless `enabled` is a bool: a truthy string such as
-    "maybe" must not switch a block on."""
-    if not isinstance(enabled, bool):
-        raise DomainError(f"enabled must be true or false, got {enabled!r}")
-
-
-def check_real(value, name):
-    """DomainError unless `value` is a finite real number (bool excluded)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise DomainError(f"{name} must be a finite number, got {value!r}")
-
-
 def _zoh(A, B, dt):
     """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u."""
     if not dt > 0:
@@ -166,7 +144,11 @@ def _zoh(A, B, dt):
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = A
     M[:n, n] = B
-    Md = expm(M * dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Md = expm(M * dt)
+    if not np.isfinite(Md).all():
+        raise ConfigError(f"no finite zero-order hold of A={A.tolist()},"
+                          f" B={B.tolist()} at dt={dt}")
     return Md[:n, :n], Md[:n, n]
 
 
@@ -198,8 +180,10 @@ def finite_prefix(values):
 def _steps(value, dt, what):
     """value/dt as an int; ConfigError unless it is a whole number of steps."""
     ratio = value / dt
-    n = round(ratio)
-    if abs(ratio - n) > 1e-9 * max(1.0, ratio):
+    n = round(ratio) if math.isfinite(ratio) else 0
+    # A positive value must span at least one step; a step count past the
+    # float range is taken as none.
+    if abs(ratio - n) > 1e-9 * max(1.0, ratio) or n == 0 < value:
         raise ConfigError(
             f"{what}={value} is not an integer multiple of dt={dt}")
     return n
@@ -257,7 +241,6 @@ class Lead:
             raise ConfigError(
                 f"dt={dt} too coarse for lead time constant T={params.T}"
                 " (need dt <= T/2)")
-        self.params = params
         c = 2.0 * params.T / dt
         self.b0 = float(params.a * c + 1.0)
         self.b1 = float(1.0 - params.a * c)
@@ -278,28 +261,23 @@ class Lead:
         self.u_prev, self.y_prev = u_prev, y
         return out
 
-    def freq_response(self, w):
-        """Complex gain of the discrete filter at angular frequency w (rad/s)."""
-        dt = 2.0 * self.params.T / (self.a0 - 1.0)
-        z = np.exp(1j * w * dt)
-        return (self.b0 * z + self.b1) / (self.a0 * z + self.a1)
-
 
 class Actuator:
     """2nd-order servo advanced by exact zero-order-hold, then a pure delay.
 
     The delay line holds tau/dt servo outputs, preloaded with the steady
     deflection for `initial` command, so the output holds that value for
-    exactly tau seconds regardless of the input.
+    exactly tau seconds regardless of the input.  A line longer than
+    `run_steps`, the steps the block will run, only outputs its preload.
     """
 
-    def __init__(self, params: ActuatorParams, dt, initial=0.0):
-        self.params = params
-        A = np.array([[0.0, 1.0],
-                      [-params.wn ** 2, -2.0 * params.mu * params.wn]])
-        B = np.array([0.0, params.gain * params.wn ** 2])
+    def __init__(self, params: ActuatorParams, dt, initial=0.0,
+                 run_steps=math.inf):
+        wn2 = params.wn * params.wn   # `**` raises OverflowError past 1e154
+        A = np.array([[0.0, 1.0], [-wn2, -2.0 * params.mu * params.wn]])
+        B = np.array([0.0, params.gain * wn2])
         Ad, Bd = _zoh(A, B, dt)
-        n_slots = _steps(params.tau, dt, "actuator delay tau")
+        n_slots = min(_steps(params.tau, dt, "actuator delay tau"), run_steps)
         (self.a00, self.a01), (self.a10, self.a11) = Ad.tolist()
         self.b_0, self.b_1 = Bd.tolist()
         steady = float(params.gain * initial)
@@ -350,10 +328,6 @@ class Kalman:
         self.x0 = float(initial_pitch)
         self.x1 = 0.0
         self.p00, self.p01, self.p11 = 1.0, 0.0, 1.0
-
-    @property
-    def P(self):
-        return np.array([[self.p00, self.p01], [self.p01, self.p11]])
 
     def assimilate(self, measurement):
         """Measurement update only (used for the initial sample)."""

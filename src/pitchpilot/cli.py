@@ -231,8 +231,8 @@ def cmd_tune(args):
 
 def cmd_metrics(args):
     trace = Trace.from_csv(args.trace)
-    start = args.start if args.start is not None else trace.omega[0]
-    target = args.target if args.target is not None else trace.cmd[-1]
+    start = float(args.start if args.start is not None else trace.omega[0])
+    target = float(args.target if args.target is not None else trace.cmd[-1])
     band = band_for_step(start, target, args.band_fraction)
     m = step_metrics(trace, start, target, band)
     print(_metrics_text(m), end="")
@@ -260,7 +260,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="sweep one loop parameter")
     _add_common(p)
     p.add_argument("--param", default="actuator.gain",
-                   help="dotted parameter path (default actuator.gain)")
+                   help="path below the loop section (default actuator.gain)")
     p.add_argument("--values", default="1:15",
                    help="comma list and/or lo:hi ranges (default 1:15)")
     p.set_defaults(func=cmd_sweep)

@@ -77,20 +77,12 @@ def parse_value(text):
 
 
 def apply_override(cfg, dotted, value):
-    """Set `dotted` (e.g. loop.actuator.gain) to `value` inside cfg."""
-    parts = dotted.split(".")
-    node = cfg
-    for i, part in enumerate(parts[:-1]):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown configuration key '{dotted}'")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown configuration key '{dotted}'")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"'{dotted}' is a section, not a value")
-    node[leaf] = value
-    return cfg
+    """Set `dotted` (e.g. loop.actuator.gain) to `value` inside cfg, as a
+    config file holding that one key would."""
+    override = value
+    for name in reversed(dotted.split(".")):
+        override = {name: override}
+    return _merge(cfg, override)
 
 
 def _build(cls, doc, where):
@@ -99,15 +91,9 @@ def _build(cls, doc, where):
                        else _build(f.default_factory, doc[f.name],
                                    f"{where}.{f.name}"))
               for f in fields(cls)}
-    # JSON true/false pass every numeric check as 1/0; only flags take them.
-    for f in fields(cls):
-        if (isinstance(kwargs[f.name], bool)
-                and not isinstance(f.default, bool)):
-            raise ConfigError(f"invalid '{where}' section: '{where}.{f.name}'"
-                              f" must be a number, got {kwargs[f.name]!r}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"invalid '{where}' section: {exc}") from exc
 
 

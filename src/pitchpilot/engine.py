@@ -5,16 +5,16 @@ noise -> Kalman into the next step.  The error junction uses the pitch
 filtered from the step's own measurement, which the plant reached with the
 previous step's deflection (a one-step computational delay).
 
-The actuator's transport delay holds D = tau/dt deflections already fixed,
-so no signal crosses the loop in fewer than L = D + 1 steps.
-`run_scenario` therefore advances the loop in windows of L steps, calling
-each block once per window with one list entry per step (tau = 0 gives
-L = 1).  Per window: the plant, the noise and the Kalman filter run over
-the window, driven by the actuator's last output and its pending delay
-line; then PID -> lead -> actuator run on the window's filtered pitches.
-Each block performs the same operations in the same order as a one-step
-loop, so the trace is the same bit for bit, and one scan per window checks
-the signals in step order.
+The actuator's transport delay holds D = tau/dt deflections already fixed
+(at most the run's step count), so no signal crosses the loop in fewer
+than L = D + 1 steps.  `run_scenario` therefore advances the loop in
+windows of L steps, calling each block once per window with one list entry
+per step (tau = 0 gives L = 1).  Per window: the plant, the noise and the
+Kalman filter run over the window, driven by the actuator's last output
+and its pending delay line; then PID -> lead -> actuator run on the
+window's filtered pitches.  Each block performs the same operations in the
+same order as a one-step loop, so the trace is the same bit for bit, and
+one scan per window checks the signals in step order.
 
 The plant advances by its exact zero-order-hold map, with the sinusoidal
 disturbance carried as oscillator states, so its update has no step-size
@@ -29,9 +29,9 @@ import numpy as np
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, Kalman, KalmanParams, Lead,
                      NoiseParams, NoiseSource, Pid, PidGains,
-                     PitchPlantParams, check_real, check_seed, disturbance_at,
-                     finite_prefix, plant_step)
-from .errors import ConfigError, DivergedError
+                     PitchPlantParams, disturbance_at, finite_prefix,
+                     plant_step)
+from .errors import ConfigError, DivergedError, validate_fields
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,9 @@ class LoopConfig:
     noise: NoiseParams = field(default_factory=NoiseParams)
     kalman: KalmanParams = field(default_factory=KalmanParams)
 
+    def __post_init__(self):
+        validate_fields(self)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -58,6 +61,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        validate_fields(self)
         if not self.duration > 0:
             raise ConfigError("duration must be > 0")
         if not 0 < self.dt <= self.duration:
@@ -66,9 +70,6 @@ class Scenario:
             raise ConfigError(
                 f"dt={self.dt} too coarse for the 50 rad/s actuator"
                 " (need dt <= 0.005)")
-        check_seed(self.seed)
-        check_real(self.initial, "initial")
-        check_real(self.command, "command")
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,16 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     offending step index if any signal goes non-finite.
     """
     dt = float(scenario.dt)
-    n = int(round(scenario.duration / dt)) + 1
-    rec = np.empty((n, len(TRACE_COLUMNS)))
+    try:
+        n = int(round(scenario.duration / dt)) + 1
+        rec = np.empty((n, len(TRACE_COLUMNS)))
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ConfigError(f"no trace of duration={scenario.duration} at"
+                          f" dt={dt} fits in memory: {exc}") from exc
 
     pid = Pid(config.pid, dt)
     lead = Lead(config.compensator, dt) if config.compensator.enabled else None
-    act = Actuator(config.actuator, dt, initial=0.0)
+    act = Actuator(config.actuator, dt, initial=0.0, run_steps=n)
     window = len(act.pending) + 1
     seed = config.noise.seed if config.noise.seed is not None else scenario.seed
     noise = NoiseSource(config.noise, dt, seed)

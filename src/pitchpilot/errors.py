@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the dataclass validator."""
+
+import math
+import numbers
+from dataclasses import fields, is_dataclass
 
 
 class PitchPilotError(Exception):
@@ -38,3 +42,45 @@ class NoResponseError(PitchPilotError):
 
 class UntunableStartError(PitchPilotError):
     """Every vertex of the initial tuning simplex diverged."""
+
+
+def _number(value, kind):
+    """Whether `value` is a `kind` (a `numbers` ABC) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _finite(value):
+    try:
+        return _number(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:   # an int past the float range
+        return False
+
+
+def _count(value):
+    return _number(value, numbers.Integral) and value >= 0
+
+
+# Annotation -> (what a field so annotated takes, its test).
+_KINDS = {
+    float: ("a finite number", _finite),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("a non-negative integer", _count),
+    int | None: ("a non-negative integer or null",
+                 lambda v: v is None or _count(v)),
+}
+
+
+def validate_fields(obj):
+    """DomainError unless each field of the dataclass `obj` fits its
+    annotation as `_KINDS` says.  A dataclass annotation takes an instance of
+    that class; any other annotation is not checked.  Every parameter
+    dataclass calls this first in `__post_init__`."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        what, fits = _KINDS.get(f.type, ("", lambda v: True))
+        if is_dataclass(f.type):
+            what, fits = (f"a {f.type.__name__}",
+                          lambda v: isinstance(v, f.type))
+        if not fits(value):
+            raise DomainError(f"{type(obj).__name__}.{f.name} must be {what},"
+                              f" got {value!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoResponseError
+from .errors import DomainError, NoResponseError, validate_fields
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class BandSpec:
     half_width: float
 
     def __post_init__(self):
+        validate_fields(self)
         if not self.half_width > 0:
             raise DomainError("band half_width must be > 0")
 

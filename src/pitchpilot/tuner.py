@@ -5,12 +5,14 @@ deterministic; diverged runs get a large finite penalty so the simplex can
 retreat instead of crashing.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import config as cfgmod
 from .engine import LoopConfig, Scenario, run_scenario
-from .errors import ConfigError, DivergedError, NoResponseError, UntunableStartError
+from .errors import (ConfigError, DivergedError, NoResponseError,
+                     UntunableStartError, validate_fields)
 from .metrics import band_for_step, step_metrics
 
 
@@ -25,6 +27,7 @@ class CostSpec:
     divergence_penalty: float = 1e6
 
     def __post_init__(self):
+        validate_fields(self)
         for name in ("w_ts", "w_mp", "w_tr", "w_iae"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"CostSpec.{name} must be >= 0")
@@ -40,7 +43,9 @@ class CostSpec:
 class SweepSpec:
     """One-parameter study over an ordered list of values."""
 
-    path: str                       # dotted field path, e.g. "actuator.gain"
+    # Document path below the `loop` section, e.g. "actuator.gain": each
+    # value goes through the same override and build as --set loop.<path>.
+    path: str
     values: tuple
     scenario: Scenario = field(default_factory=Scenario)
     config: LoopConfig = field(default_factory=LoopConfig)
@@ -49,18 +54,6 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ConfigError("sweep needs a non-empty value list")
-
-
-def _with_value(config: LoopConfig, path, value):
-    parts = path.split(".")
-    if len(parts) != 2 or not hasattr(config, parts[0]):
-        raise ConfigError(f"cannot resolve parameter path '{path}'")
-    section = getattr(config, parts[0])
-    if not hasattr(section, parts[1]):
-        raise ConfigError(f"cannot resolve parameter path '{path}'")
-    if not isinstance(getattr(section, parts[1]), (int, float)):
-        raise ConfigError(f"parameter path '{path}' is not numeric")
-    return replace(config, **{parts[0]: replace(section, **{parts[1]: value})})
 
 
 def _quiet(config: LoopConfig) -> LoopConfig:
@@ -85,9 +78,10 @@ def evaluate(config: LoopConfig, scenario: Scenario, cost: CostSpec):
 def sweep(spec: SweepSpec):
     """One run per value; returns [(value, StepMetrics or None, cost), ...]."""
     rows = []
+    doc = {"loop": asdict(spec.config)}
     for value in spec.values:
-        cfg = _with_value(spec.config, spec.path, value)
-        m, c = evaluate(cfg, spec.scenario, spec.cost)
+        cfgmod.apply_override(doc, "loop." + spec.path, value)
+        m, c = evaluate(cfgmod.loop_config_from(doc), spec.scenario, spec.cost)
         rows.append((value, m, c))
     return rows
 

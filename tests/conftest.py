@@ -57,6 +57,16 @@ def noise_pairs(noisy_config):
     return pairs
 
 
+@pytest.fixture(scope="session")
+def lead_response():
+    """Complex gain at w (rad/s) of a `Lead` stepped every dt seconds,
+    from its difference-equation coefficients."""
+    def response(lead, w, dt):
+        z = np.exp(1j * w * dt)
+        return (lead.b0 * z + lead.b1) / (lead.a0 * z + lead.a1)
+    return response
+
+
 def _float64_fields(params):
     """`params` with every float field, sub-sections included, as
     np.float64."""

@@ -272,11 +272,11 @@ class TestCriterion9OracleEquivalence:
         assert ys.max() == pytest.approx(peak, rel=0.005)
         assert t[ys.argmax()] == pytest.approx(t_peak, rel=0.005)
 
-    def test_lead_geometric_mean_gain(self):
+    def test_lead_geometric_mean_gain(self, lead_response):
         params = CompensatorParams()
         lead = Lead(params, dt=0.001)
         w = 1.0 / (params.T * math.sqrt(params.a))
-        assert abs(lead.freq_response(w)) == \
+        assert abs(lead_response(lead, w, 0.001)) == \
             pytest.approx(math.sqrt(params.a), rel=0.005)
 
     def test_kalman_gain_matches_riccati_fixed_point(self):

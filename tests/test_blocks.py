@@ -73,11 +73,11 @@ class TestLead:
             y = fine2.step([1.0] * int(round(t / dt_fine)))[-1]
             assert y == pytest.approx(expected, rel=2e-3)
 
-    def test_geometric_mean_frequency_gain(self):
+    def test_geometric_mean_frequency_gain(self, lead_response):
         params = CompensatorParams()
         lead = Lead(params, dt=0.001)
         w = 1.0 / (params.T * math.sqrt(params.a))
-        h = lead.freq_response(w)
+        h = lead_response(lead, w, 0.001)
         assert abs(h) == pytest.approx(math.sqrt(params.a), rel=5e-3)
         max_lead = math.degrees(math.asin((params.a - 1) / (params.a + 1)))
         assert math.degrees(np.angle(h)) == pytest.approx(max_lead, abs=0.5)
@@ -153,6 +153,12 @@ class TestActuator:
                 dense.append(x0)
         assert np.allclose(coarse, dense, rtol=1e-6, atol=1e-9)
 
+    def test_delay_line_is_cut_at_the_run_length(self):
+        act = Actuator(ActuatorParams(tau=1e300), dt=0.001, initial=0.5,
+                       run_steps=50)
+        assert len(act.pending) == 50
+        assert act.step([math.sin(k) for k in range(50)]) == [3.5] * 50
+
     def test_delay_must_divide_dt(self):
         with pytest.raises(ConfigError):
             Actuator(ActuatorParams(tau=0.0015), dt=0.001)
@@ -199,6 +205,14 @@ class TestLoopCoefficientsArePythonFloats:
         assert [n for n, v in values.items() if type(v) is not float] == []
 
 
+class TestPitchPlant:
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            PitchPlantParams(J_z=0)
+        with pytest.raises(DomainError):
+            PitchPlantParams(lam=-1.0)
+
+
 class TestZoh:
     def test_plant_closed_form(self):
         # x = [pitch, rate], J·rate' = u - lam·rate, with a = lam/J.
@@ -223,6 +237,10 @@ class TestZoh:
             (A, B[:, None], np.eye(2), np.zeros((2, 1))), dt, method="zoh")
         assert np.array_equal(Ad, Ad_ref)
         assert np.array_equal(Bd, Bd_ref[:, 0])
+
+
+def _covariance(kal):
+    return np.array([[kal.p00, kal.p01], [kal.p01, kal.p11]])
 
 
 class TestKalman:
@@ -261,12 +279,12 @@ class TestKalman:
 
     def test_covariance_monotone_and_positive(self):
         kal = Kalman(KalmanParams(), self.plant, dt=0.001)
-        prev = np.trace(kal.P)
+        prev = np.trace(_covariance(kal))
         for _ in range(500):
             kal.step([0.0], [0.0])
-            cur = np.trace(kal.P)
+            cur = np.trace(_covariance(kal))
             assert cur <= prev + 1e-12
-            assert np.all(np.linalg.eigvalsh(kal.P) > 0)
+            assert np.all(np.linalg.eigvalsh(_covariance(kal)) > 0)
             prev = cur
 
     def test_transparent_for_exact_model(self):
@@ -284,7 +302,7 @@ class TestKalman:
             assert est == pytest.approx(x[0], abs=1e-12)
 
     def test_r_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             KalmanParams(r=0.0)
 
 

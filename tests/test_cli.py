@@ -1,12 +1,16 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pitchpilot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from pitchpilot.config import default_config
 from pitchpilot.engine import TRACE_COLUMNS, Trace
 
 QUIET = ["--no-noise", "--set", "loop.disturbance.amplitude=0"]
+HUGE = "9" * 401   # an integer past the float range
 
 
 def run_cli(*argv):
@@ -70,12 +74,31 @@ class TestSimulate:
                                           "loop.pid.k_p=true",
                                           "loop.disturbance.amplitude=true",
                                           "scenario.duration=true",
-                                          "missile.m=true"])
+                                          "missile.m=true",
+                                          "loop.disturbance.frequency=1e400",
+                                          'loop.actuator.gain="7"',
+                                          *(pytest.param(f"{key}={HUGE}",
+                                                         id=f"{key}=9x401")
+                                            for key in ("loop.pid.k_p",
+                                                        "loop.actuator.gain",
+                                                        "loop.actuator.tau",
+                                                        "scenario.initial",
+                                                        "scenario.duration")),
+                                          "--duration=inf",
+                                          "derivatives.C_Ma=abc",
+                                          "loop.actuator.wn=1e400",
+                                          "loop.compensator.a=1e400",
+                                          "loop.noise.variance=NaN",
+                                          "missile.X_CG=NaN"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, override):
-        command = "size" if override.startswith("missile.") else "simulate"
-        assert run_cli(command, "--out", str(tmp_path),
-                       "--set", override) == EXIT_CONFIG
-        section = override.partition("=")[0].rsplit(".", 1)[0]
+        # `size` is the only command that builds missile and derivatives.
+        command = ("size" if override.startswith(("missile.", "derivatives."))
+                   else "simulate")
+        option = ([override] if override.startswith("--")
+                  else ["--set", override])
+        assert run_cli(command, "--out", str(tmp_path), *option) == EXIT_CONFIG
+        section = ("scenario" if override.startswith("--")
+                   else override.partition("=")[0].rsplit(".", 1)[0])
         assert f"'{section}'" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path):
@@ -83,6 +106,12 @@ class TestSimulate:
                        "--set", "loop.pid.k_p=1e9",
                        "--set", "loop.pid.k_d=1e9", *QUIET)
         assert code == EXIT_DIVERGED
+
+    def test_delay_past_the_run_exit_code(self, tmp_path):
+        # The delay line is cut at the run length instead of allocating
+        # tau/dt entries.
+        assert run_cli("simulate", "--out", str(tmp_path), "--set",
+                       "loop.actuator.tau=1e300", *QUIET) == EXIT_OK
 
     def test_default_run_divergence_exit_code(self, tmp_path):
         # Diverges at step 9244 with a non-finite PID error later in the
@@ -140,11 +169,20 @@ class TestSweepAndTune:
         assert run_cli("sweep", "--out", str(tmp_path), "--values", ",",
                        *QUIET) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("values", ["0.5:2", "a"],
-                             ids=["float-range", "non-number"])
+    @pytest.mark.parametrize("values", ["0.5:2", "a", "nan,inf"],
+                             ids=["float-range", "non-number", "non-finite"])
     def test_malformed_values_usage_error(self, tmp_path, values):
         assert run_cli("sweep", "--out", str(tmp_path), "--values", values,
                        *QUIET) == EXIT_CONFIG
+
+    def test_swept_value_fails_as_set_does(self, tmp_path, capsys):
+        assert run_cli("sweep", "--out", str(tmp_path), "--values", "7,nan",
+                       "--duration", "1", *QUIET) == EXIT_CONFIG
+        swept = capsys.readouterr().err
+        assert run_cli("simulate", "--out", str(tmp_path), "--set",
+                       "loop.actuator.gain=NaN", *QUIET) == EXIT_CONFIG
+        assert "'loop.actuator'" in swept
+        assert capsys.readouterr().err == swept
 
     def test_tune_budget_one_echoes_start(self, tmp_path, capsys):
         code = run_cli("tune", "--out", str(tmp_path), "--max-evals", "1",
@@ -180,3 +218,86 @@ class TestMetricsCommand:
                 if case == "out-is-a-file" else ["metrics", "--trace", str(path)])
         assert run_cli(*argv) == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
+
+
+def _leaves(doc, prefix=""):
+    for key, value in doc.items():
+        path = f"{prefix}{key}"
+        yield from (_leaves(value, path + ".") if isinstance(value, dict)
+                    else [path])
+
+
+LEAVES = sorted(_leaves(default_config()))
+LOOP_LEAVES = [path.removeprefix("loop.") for path in LEAVES
+               if path.startswith("loop.")]
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6))
+# What follows `KEY=` on the command line.
+override_values = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                     HUGE, "-" + HUGE]),
+    json_scalars.map(json.dumps),
+    st.lists(json_scalars, max_size=3).map(json.dumps),
+    st.text(max_size=8))
+# `size` builds the sizing sections, the other commands loop and scenario.
+SIZING_LEAVES = [path for path in LEAVES
+                 if path.split(".")[0] in ("missile", "derivatives",
+                                           "tail_sizing")]
+RUN_LEAVES = [path for path in LEAVES if path not in SIZING_LEAVES]
+ODD_KEYS = ["loop", "loop.pid", "scenario.x", ""]
+number_texts = (st.sampled_from(["nan", "inf", "-inf", "1e400", "abc"])
+                | st.floats().map(repr) | st.integers().map(str))
+
+
+@st.composite
+def argvs(draw, trace):
+    """argv for one CLI call: a real subcommand with real document paths."""
+    command = draw(st.sampled_from(["simulate", "ab", "size", "sweep", "tune",
+                                    "metrics"]))
+    if command == "metrics":
+        argv = ["metrics", "--trace", trace]
+        for option in ("--start", "--target", "--band-fraction"):
+            if draw(st.booleans()):
+                argv.append(f"{option}={draw(number_texts)}")
+        return argv
+    argv = [command]
+    keys = st.sampled_from(
+        (SIZING_LEAVES if command == "size" else RUN_LEAVES) + ODD_KEYS)
+    for key, value in draw(st.lists(st.tuples(keys, override_values),
+                                    max_size=3)):
+        argv += ["--set", f"{key}={value}"]
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(number_texts)}")
+    if draw(st.booleans()):
+        argv.append("--no-noise")
+    if command == "sweep":
+        param = draw(st.sampled_from(LOOP_LEAVES) | st.text(max_size=6))
+        argv += [f"--param={param}", "--values=0.5,7"]
+    if command == "tune":
+        argv.append(f"--max-evals={draw(st.integers(-1, 3))}")
+    # Last, so no --set can lengthen the run.
+    return argv + ["--duration", "0.05", "--dt", "0.001"]
+
+
+class TestExitCodeContract:
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz-trace")
+        assert run_cli("simulate", "--out", str(out), "--duration", "0.05",
+                       *QUIET) == EXIT_OK
+        return str(out / "trace.csv")
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150)
+    @given(data=st.data())
+    def test_any_argv_exits_0_2_or_3(self, trace, data):
+        argv = data.draw(argvs(trace))
+        with tempfile.TemporaryDirectory() as out:
+            if argv[0] != "metrics":
+                argv[1:1] = ["--out", out]
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse usage errors
+                assert exc.code == EXIT_CONFIG
+            else:
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)

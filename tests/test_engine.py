@@ -151,10 +151,24 @@ class TestWindows:
             run_scenario(cfg, Scenario())
         assert excinfo.value.step == step
 
+    @pytest.mark.parametrize("tau", [20.0, 1e300])
+    def test_delay_past_the_run_holds_its_preload(self, tau):
+        # A 0.5 s run has 501 steps, so a 0.501 s delay line outputs only its
+        # preload, and so does any longer one.
+        scenario = Scenario(duration=0.5)
+        longest = run_scenario(LoopConfig(actuator=ActuatorParams(tau=0.501)),
+                               scenario)
+        run = run_scenario(LoopConfig(actuator=ActuatorParams(tau=tau)),
+                           scenario)
+        assert not longest.delta.any()
+        for name in TRACE_COLUMNS:
+            assert (getattr(run, name).tobytes()
+                    == getattr(longest, name).tobytes()), name
+
     def test_nan_process_noise_is_a_config_error(self):
-        cfg = LoopConfig(kalman=KalmanParams(q_rate=float("nan")))
-        with pytest.raises(ConfigError, match="non-finite PID error nan"):
-            run_scenario(cfg, Scenario())
+        with pytest.raises(ConfigError, match="KalmanParams.q_rate"):
+            run_scenario(LoopConfig(kalman=KalmanParams(q_rate=float("nan"))),
+                         Scenario())
 
 
 class TestAbPair:

@@ -89,6 +89,16 @@ class TestSweep:
             sweep(SweepSpec(path="nonsense.value", values=(1.0,),
                             config=quiet_config))
 
+    @pytest.mark.parametrize("path, value", [("actuator.gain", float("nan")),
+                                             ("actuator.tau", -1.0),
+                                             ("noise.enabled", 1.0),
+                                             ("noise.seed", 1.5),
+                                             ("actuator", 1.0)])
+    def test_value_built_like_an_override(self, quiet_config, path, value):
+        with pytest.raises(ConfigError, match=r"'loop\.(actuator|noise)"):
+            sweep(SweepSpec(path=path, values=(value,), config=quiet_config,
+                            scenario=Scenario(duration=0.05)))
+
     def test_empty_values_rejected(self, quiet_config):
         with pytest.raises(ConfigError):
             SweepSpec(path="actuator.gain", values=(), config=quiet_config)
