@@ -8,7 +8,8 @@ radian unless noted.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularConfigurationError, validate_fields
+from .errors import (DomainError, Nonzero, Positive,
+                     SingularConfigurationError, validate_fields)
 
 
 @dataclass(frozen=True)
@@ -19,33 +20,29 @@ class MissileConfig:
     tip-to-tip span (the exposed-panel figure is b/2).
     """
 
-    d: float = 0.2            # body diameter (m)
-    l_M: float = 5.2          # overall length (m)
-    l_N: float = 1.0          # nose length (m)
-    l_B: float = 4.0          # body length (m)
-    l_BT: float = 0.2         # boattail length (m)
-    A_e: float = 0.015        # nozzle exit area (m²)
-    b: float = 0.888          # full wingspan (m)
-    S_W: float = 0.282        # wing area (m²)
-    S_T: float = 0.0865       # tail area (m²)
-    S_ref: float = math.pi / 4 * 0.2 ** 2   # reference area (m²)
-    AR: float = 2.75          # aspect ratio
-    C_MAC: float = 0.377      # mean aerodynamic chord (m)
+    d: Positive = 0.2         # body diameter (m)
+    l_M: Positive = 5.2       # overall length (m)
+    l_N: Positive = 1.0       # nose length (m)
+    l_B: Positive = 4.0       # body length (m)
+    l_BT: Positive = 0.2      # boattail length (m)
+    A_e: Positive = 0.015     # nozzle exit area (m²)
+    b: Positive = 0.888       # full wingspan (m)
+    S_W: Positive = 0.282     # wing area (m²)
+    S_T: Positive = 0.0865    # tail area (m²)
+    S_ref: Positive = math.pi / 4 * 0.2 ** 2   # reference area (m²)
+    AR: Positive = 2.75       # aspect ratio
+    C_MAC: Positive = 0.377   # mean aerodynamic chord (m)
     X_CG: float = 2.5         # centre of gravity (m from nose)
     X_AC: float = 3.15        # aerodynamic centre (m from nose)
     X_MAC: float = 2.75       # MAC station (m from nose)
-    m: float = 85.0           # mass (kg)
-    J_z: float = 40.0         # pitch moment of inertia (kg·m²)
+    m: Positive = 85.0        # mass (kg)
+    J_z: Positive = 40.0      # pitch moment of inertia (kg·m²)
     V_c: float = 250.0        # cruise speed (m/s)
     Ma: float = 0.85          # Mach number
     h: float = 6000.0         # altitude (m)
 
     def __post_init__(self):
         validate_fields(self)
-        for name in ("d", "l_M", "l_N", "l_B", "l_BT", "A_e", "b", "S_W",
-                     "S_T", "S_ref", "AR", "C_MAC", "m", "J_z"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"MissileConfig.{name} must be > 0")
         expected = math.pi / 4 * (self.d * self.d)   # `**` can overflow
         if abs(self.S_ref - expected) > 1e-9 * expected:
             raise DomainError(
@@ -87,9 +84,9 @@ class TailSizingInputs:
     source data).
     """
 
-    d: float = 1.0
-    S_W: float = 0.287
-    S_ref: float = 0.0314
+    d: Positive = 1.0
+    S_W: Positive = 0.287
+    S_ref: Positive = 0.0314
     X_CG: float = 2.5
     X_CP_body: float = 0.2
     X_CP_wing: float = 2.85
@@ -97,22 +94,24 @@ class TailSizingInputs:
     X_AC: float = 0.094
     C_Na_body: float = 0.0
     C_Na_wing: float = 0.262
-    C_Na_tail: float = 0.262
+    C_Na_tail: Nonzero = 0.262
 
     def __post_init__(self):
         validate_fields(self)
-        for name in ("d", "S_W", "S_ref"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"TailSizingInputs.{name} must be > 0")
-        if self.C_Na_tail == 0:
-            raise DomainError("C_Na_tail must be nonzero")
+
+
+def _finite_result(value, what):
+    """`value`, or DomainError if the inputs drove it past the float range."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} = {value!r} is not a finite number")
+    return value
 
 
 def wing_area_from_span(b, AR):
     """Wing area from full span and aspect ratio: S_W = b²/AR."""
     if not (b > 0 and AR > 0):
         raise DomainError(f"b and AR must be > 0, got b={b}, AR={AR}")
-    return b * b / AR
+    return _finite_result(b * b / AR, "wing area S_W")
 
 
 def span_from_area(S_W, AR):
@@ -161,7 +160,8 @@ def tail_area_ratio(inputs: TailSizingInputs):
     body_term = inputs.C_Na_body * body_arm
     wing_term = inputs.C_Na_wing * wing_arm * sw_ratio
     margin_term = (inputs.C_Na_body + inputs.C_Na_wing * sw_ratio) * margin_arm
-    return body_term + wing_term + margin_term / denom
+    return _finite_result(body_term + wing_term + margin_term / denom,
+                          "tail area ratio S_T/S_ref")
 
 
 def tail_area(inputs: TailSizingInputs):
@@ -173,14 +173,14 @@ def static_margin(X_AC, X_CG, l_M):
     """Static margin (X_AC - X_CG)/l_M; positive means statically stable."""
     if not l_M > 0:
         raise DomainError(f"l_M must be > 0, got {l_M}")
-    return (X_AC - X_CG) / l_M
+    return _finite_result((X_AC - X_CG) / l_M, "static margin")
 
 
 def static_margin_calibers(X_AC, X_CG, d):
     """Alternate static margin in calibers: (X_AC - X_CG)/d."""
     if not d > 0:
         raise DomainError(f"d must be > 0, got {d}")
-    return (X_AC - X_CG) / d
+    return _finite_result((X_AC - X_CG) / d, "static margin in calibers")
 
 
 def check_control_margin(C_Ma, C_Md):

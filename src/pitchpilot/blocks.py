@@ -7,6 +7,10 @@ local variables as a one-step call would.  Any split of the inputs into
 windows gives the same outputs and end state.  Instances are cheap; build a
 fresh set per run and never share them across runs.
 
+Step methods do not check their inputs: a non-finite value runs through the
+recursion like any other, and `engine.run_scenario`, which scans every
+window's signals, decides where a run diverged.
+
 Every coefficient a block reads per step is a Python float, converted once
 in `__init__`: a numpy scalar would send each step's arithmetic through
 numpy's scalar machinery, about twice as slow as Python's float path.
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigError, DomainError, validate_fields
+from .errors import (ConfigError, DomainError, NonNegative, Nonzero, Positive,
+                     validate_fields)
 
 
 @dataclass(frozen=True)
@@ -28,45 +33,35 @@ class PidGains:
     k_p: float = 44.0
     k_i: float = 23.4
     k_d: float = 24.0
-    tau_f: float = 0.055   # derivative filter time constant (s)
+    tau_f: NonNegative = 0.055   # derivative filter time constant (s)
 
     def __post_init__(self):
         validate_fields(self)
-        if self.tau_f < 0:
-            raise DomainError("tau_f must be >= 0")
 
 
 @dataclass(frozen=True)
 class CompensatorParams:
     """Phase-lead network (a·T·s + 1)/(T·s + 1)."""
 
-    a: float = 11.0
-    T: float = 0.01
+    a: Positive = 11.0
+    T: Positive = 0.01
     enabled: bool = True
 
     def __post_init__(self):
         validate_fields(self)
-        if not (self.a > 0 and self.T > 0):
-            raise DomainError("compensator a and T must be > 0")
 
 
 @dataclass(frozen=True)
 class ActuatorParams:
     """2nd-order servo n·wn²/(s² + 2·mu·wn·s + wn²) with transport delay tau."""
 
-    gain: float = 7.0
-    wn: float = 50.0
-    mu: float = 0.5
-    tau: float = 0.1
+    gain: Nonzero = 7.0
+    wn: Positive = 50.0
+    mu: Positive = 0.5
+    tau: NonNegative = 0.1
 
     def __post_init__(self):
         validate_fields(self)
-        if not (self.wn > 0 and self.mu > 0):
-            raise DomainError("wn and mu must be > 0")
-        if self.tau < 0:
-            raise DomainError("tau must be >= 0")
-        if self.gain == 0:
-            raise DomainError("gain must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -74,29 +69,23 @@ class NoiseParams:
     """Zero-order-hold white measurement noise."""
 
     enabled: bool = True
-    variance: float = 0.1     # deg²
-    sample_time: float = 0.01  # hold interval (s)
+    variance: NonNegative = 0.1     # deg²
+    sample_time: Positive = 0.01   # hold interval (s)
     seed: int | None = None   # None -> use the scenario seed
 
     def __post_init__(self):
         validate_fields(self)
-        if self.variance < 0:
-            raise DomainError("noise variance must be >= 0")
-        if not self.sample_time > 0:
-            raise DomainError("noise sample_time must be > 0")
 
 
 @dataclass(frozen=True)
 class DisturbanceParams:
     """Sinusoidal disturbance torque amplitude·sin(frequency·t)."""
 
-    amplitude: float = 1.0
-    frequency: float = 1.0   # rad/s
+    amplitude: NonNegative = 1.0
+    frequency: NonNegative = 1.0   # rad/s
 
     def __post_init__(self):
         validate_fields(self)
-        if self.amplitude < 0 or self.frequency < 0:
-            raise DomainError("disturbance amplitude and frequency must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,31 +93,23 @@ class KalmanParams:
     """2-state pitch/pitch-rate filter tuning."""
 
     enabled: bool = True
-    q_omega: float = 1e-4   # process noise intensity on pitch
-    q_rate: float = 1e-2    # process noise intensity on pitch rate
-    r: float = 0.1          # measurement variance (deg²)
+    q_omega: NonNegative = 1e-4   # process noise intensity on pitch
+    q_rate: NonNegative = 1e-2    # process noise intensity on pitch rate
+    r: Positive = 0.1             # measurement variance (deg²)
 
     def __post_init__(self):
         validate_fields(self)
-        if self.q_omega < 0 or self.q_rate < 0:
-            raise DomainError("process noise intensities must be >= 0")
-        if not self.r > 0:
-            raise DomainError("measurement variance r must be > 0")
 
 
 @dataclass(frozen=True)
 class PitchPlantParams:
     """Rotational plant: J_z·w_ddot = delta - lam·w_dot - d."""
 
-    J_z: float = 40.0   # moment of inertia (loop units)
-    lam: float = 6.0    # aerodynamic resistance (torque per unit rate)
+    J_z: Positive = 40.0     # moment of inertia (loop units)
+    lam: NonNegative = 6.0   # aerodynamic resistance (torque per unit rate)
 
     def __post_init__(self):
         validate_fields(self)
-        if not self.J_z > 0:
-            raise DomainError(f"J_z must be > 0, got {self.J_z}")
-        if self.lam < 0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
 
     def model(self):
         """(A, B) of x' = A·x + B·u on x = [pitch, rate], u = net torque."""
@@ -211,9 +192,6 @@ class Pid:
 
     def step(self, errors):
         """Controller output for each error of the window."""
-        bad = finite_prefix(errors)
-        if bad < len(errors):
-            raise ConfigError(f"non-finite PID error {errors[bad]}")
         k_p, k_i, k_d = self.k_p, self.k_i, self.k_d
         dt, alpha = self.dt, self.alpha
         integral, d_filt, prev = self.integral, self.d_filt, self.prev_error

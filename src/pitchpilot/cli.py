@@ -14,7 +14,8 @@ from .aero import sizing_report
 from .engine import Trace, run_ab_pair, run_scenario
 from .errors import (ConfigError, DivergedError, NoResponseError,
                      PitchPilotError)
-from .metrics import band_for_step, devaud_report, noise_envelope, step_metrics
+from .metrics import (BAND_FRACTION, band_for_step, devaud_report,
+                      noise_envelope, step_metrics)
 from .tuner import CostSpec, SweepSpec, sweep, tune_pid
 
 EXIT_OK = 0
@@ -110,7 +111,7 @@ def cmd_simulate(args):
     scenario = cfgmod.scenario_from(cfg)
     trace = run_scenario(loop, scenario)
     trace.to_csv(out / "trace.csv")
-    band = band_for_step(scenario.initial, scenario.command, 0.05)
+    band = band_for_step(scenario.initial, scenario.command)
     try:
         m = step_metrics(trace, scenario.initial, scenario.command, band)
         text = _metrics_text(m)
@@ -134,7 +135,7 @@ def cmd_ab(args):
     trace_a, trace_b = run_ab_pair(loop, scenario)
     trace_a.to_csv(out / "trace_a.csv")
     trace_b.to_csv(out / "trace_b.csv")
-    band = band_for_step(scenario.initial, scenario.command, 0.05)
+    band = band_for_step(scenario.initial, scenario.command)
     m_a = step_metrics(trace_a, scenario.initial, scenario.command, band)
     m_b = step_metrics(trace_b, scenario.initial, scenario.command, band)
 
@@ -274,7 +275,7 @@ def build_parser():
     p.add_argument("--trace", required=True, help="trace CSV path")
     p.add_argument("--start", type=float, help="step start (default: first sample)")
     p.add_argument("--target", type=float, help="step target (default: last command)")
-    p.add_argument("--band-fraction", type=float, default=0.05)
+    p.add_argument("--band-fraction", type=float, default=BAND_FRACTION)
     p.set_defaults(func=cmd_metrics)
 
     return parser

@@ -31,7 +31,7 @@ from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      NoiseParams, NoiseSource, Pid, PidGains,
                      PitchPlantParams, disturbance_at, finite_prefix,
                      plant_step)
-from .errors import ConfigError, DivergedError, validate_fields
+from .errors import ConfigError, DivergedError, Positive, validate_fields
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,18 @@ class Scenario:
 
     initial: float = 10.0    # starting pitch (deg)
     command: float = 1.0     # commanded pitch (deg)
-    duration: float = 10.0   # simulated time (s)
-    dt: float = 0.001        # step size (s)
+    duration: Positive = 10.0   # simulated time (s)
+    dt: Positive = 0.001        # step size (s)
     seed: int = 0
 
     def __post_init__(self):
         validate_fields(self)
-        if not self.duration > 0:
-            raise ConfigError("duration must be > 0")
-        if not 0 < self.dt <= self.duration:
-            raise ConfigError("need 0 < dt <= duration")
+        # The first errors are about command - initial.  If that overflows,
+        # the run cannot start: a configuration error, not a divergence.
+        if not math.isfinite(float(self.command) - float(self.initial)):
+            raise ConfigError("command - initial is past the float range")
+        if self.dt > self.duration:
+            raise ConfigError("need dt <= duration")
         if self.dt > 0.005:
             raise ConfigError(
                 f"dt={self.dt} too coarse for the 50 rad/s actuator"
@@ -159,18 +161,12 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     filt = [kal.assimilate(meas[0])] if kal else meas
     while True:
         errors = [cmd - f for f in filt]
-        # Pid.step rejects a non-finite error, but the steps before it come
-        # first: they run, and may diverge, before it raises.
-        m = finite_prefix(errors)
-        u_pid = pid.step(errors[:m])
+        u_pid = pid.step(errors)
         u_lead = lead.step(u_pid) if lead else u_pid
         delta = act.step(u_lead)
-        bad = min(finite_prefix(omegas), finite_prefix(delta),
-                  finite_prefix(u_pid))
-        if bad < m:
+        bad = min(finite_prefix(x) for x in (omegas, errors, u_pid, delta))
+        if bad < len(errors):
             raise DivergedError(k0 + bad)
-        if m < len(errors):
-            pid.step(errors[m:])   # raises ConfigError naming errors[m]
         # Row-major (step, column) storage keeps each step's values
         # adjacent for the row-by-row CSV writer.
         for col, values in enumerate((ts, cmd, omegas, rates, meas, filt,

@@ -3,6 +3,7 @@
 import math
 import numbers
 from dataclasses import fields, is_dataclass
+from typing import Annotated
 
 
 class PitchPilotError(Exception):
@@ -60,9 +61,18 @@ def _count(value):
     return _number(value, numbers.Integral) and value >= 0
 
 
+# Reals restricted to a range: annotate a field with one of these and
+# `validate_fields` checks the range.
+Positive = Annotated[float, "> 0"]
+NonNegative = Annotated[float, ">= 0"]
+Nonzero = Annotated[float, "!= 0"]
+
 # Annotation -> (what a field so annotated takes, its test).
 _KINDS = {
     float: ("a finite number", _finite),
+    Positive: ("a finite number > 0", lambda v: _finite(v) and v > 0),
+    NonNegative: ("a finite number >= 0", lambda v: _finite(v) and v >= 0),
+    Nonzero: ("a finite number != 0", lambda v: _finite(v) and v != 0),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("a non-negative integer", _count),
     int | None: ("a non-negative integer or null",

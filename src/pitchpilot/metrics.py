@@ -8,11 +8,15 @@ true pitch beyond the target in the direction of travel; settling requires
 remaining inside the band through the end of the trace.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoResponseError, validate_fields
+from .errors import DomainError, NoResponseError, Positive, validate_fields
+
+# Settling-band half-width as a fraction of the step magnitude.
+BAND_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -20,12 +24,10 @@ class BandSpec:
     """Settling band: target +/- half_width, both in degrees."""
 
     target: float
-    half_width: float
+    half_width: Positive
 
     def __post_init__(self):
         validate_fields(self)
-        if not self.half_width > 0:
-            raise DomainError("band half_width must be > 0")
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class StepMetrics:
     req_accuracy: bool
 
 
-def band_for_step(start, target, fraction):
+def band_for_step(start, target, fraction=BAND_FRACTION):
     """Band of half-width fraction·|start - target| around the target."""
     if not fraction > 0:
         raise DomainError("fraction must be > 0")
@@ -154,4 +156,8 @@ def noise_envelope(trace, window_start):
     if not window_start < t[-1]:
         raise DomainError("window_start must precede the end of the trace")
     err = np.asarray(trace.error, dtype=float)[t >= window_start]
-    return float(err.max()), float(err.min()), float(err.var())
+    mx, mn = float(err.max()), float(err.min())
+    # Scaled by a power of two, err.var() cannot overflow and scales back to
+    # the same float; a variance past the float range is inf, not a warning.
+    scale = 2.0 ** (math.frexp(max(mx, -mn))[1] - 1)
+    return mx, mn, float((err / scale).var()) * scale * scale

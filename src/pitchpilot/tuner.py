@@ -12,7 +12,8 @@ import numpy as np
 from . import config as cfgmod
 from .engine import LoopConfig, Scenario, run_scenario
 from .errors import (ConfigError, DivergedError, NoResponseError,
-                     UntunableStartError, validate_fields)
+                     NonNegative, Positive, UntunableStartError,
+                     validate_fields)
 from .metrics import band_for_step, step_metrics
 
 
@@ -20,19 +21,14 @@ from .metrics import band_for_step, step_metrics
 class CostSpec:
     """Weighted step-response cost: w_ts·t_s + w_mp·M_p + w_tr·t_r + w_iae·IAE."""
 
-    w_ts: float = 1.0
-    w_mp: float = 0.5
-    w_tr: float = 0.2
-    w_iae: float = 0.01
-    divergence_penalty: float = 1e6
+    w_ts: NonNegative = 1.0
+    w_mp: NonNegative = 0.5
+    w_tr: NonNegative = 0.2
+    w_iae: NonNegative = 0.01
+    divergence_penalty: Positive = 1e6
 
     def __post_init__(self):
         validate_fields(self)
-        for name in ("w_ts", "w_mp", "w_tr", "w_iae"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"CostSpec.{name} must be >= 0")
-        if not self.divergence_penalty > 0:
-            raise ConfigError("divergence_penalty must be > 0")
 
     @property
     def is_zero(self):
@@ -52,6 +48,7 @@ class SweepSpec:
     cost: CostSpec = field(default_factory=CostSpec)
 
     def __post_init__(self):
+        validate_fields(self)
         if len(self.values) == 0:
             raise ConfigError("sweep needs a non-empty value list")
 
@@ -64,7 +61,7 @@ def evaluate(config: LoopConfig, scenario: Scenario, cost: CostSpec):
     """(StepMetrics or None, cost) of one noise-free run."""
     try:
         trace = run_scenario(_quiet(config), scenario)
-        band = band_for_step(scenario.initial, scenario.command, 0.05)
+        band = band_for_step(scenario.initial, scenario.command)
         m = step_metrics(trace, scenario.initial, scenario.command, band)
     except (DivergedError, NoResponseError):
         return None, cost.divergence_penalty

@@ -4,6 +4,7 @@ from dataclasses import fields, is_dataclass, replace
 
 from pitchpilot.blocks import DisturbanceParams, NoiseParams
 from pitchpilot.engine import LoopConfig, Scenario, run_ab_pair
+from pitchpilot.errors import NonNegative, Nonzero, Positive
 from pitchpilot.metrics import band_for_step, step_metrics
 
 
@@ -74,7 +75,9 @@ def _float64_fields(params):
         f.name: (_float64_fields(getattr(params, f.name))
                  if is_dataclass(f.type)
                  else np.float64(getattr(params, f.name)))
-        for f in fields(params) if f.type is float or is_dataclass(f.type)})
+        for f in fields(params)
+        if f.type in (float, Positive, NonNegative, Nonzero)
+        or is_dataclass(f.type)})
 
 
 @pytest.fixture(scope="session")

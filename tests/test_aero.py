@@ -31,6 +31,10 @@ class TestWingArea:
         with pytest.raises(DomainError):
             wing_area_from_span(0.888, -1)
 
+    def test_rejects_area_past_the_float_range(self):
+        with pytest.raises(DomainError, match="S_W = inf"):
+            wing_area_from_span(1e200, 2.75)
+
     @given(b=positive, AR=positive)
     def test_inverse_composition(self, b, AR):
         area = wing_area_from_span(b, AR)
@@ -98,6 +102,12 @@ class TestTailSizing:
         with pytest.raises(DomainError):
             TailSizingInputs(C_Na_tail=0.0)
 
+    def test_nonfinite_ratio_rejected(self):
+        # Finite inputs whose arms overflow: inf - inf makes the ratio nan.
+        inputs = replace(TailSizingInputs(), X_CG=1e308, X_AC=-1e308)
+        with pytest.raises(DomainError, match="S_T/S_ref = nan"):
+            tail_area_ratio(inputs)
+
 
 class TestStaticMargin:
     def test_published_value(self):
@@ -118,6 +128,12 @@ class TestStaticMargin:
     def test_rejects_bad_length(self):
         with pytest.raises(DomainError):
             static_margin(3.15, 2.5, 0)
+
+    def test_rejects_margin_past_the_float_range(self):
+        with pytest.raises(DomainError, match="static margin = -inf"):
+            static_margin(-1e308, 1e308, 5.2)
+        with pytest.raises(DomainError, match="calibers = -inf"):
+            static_margin_calibers(-1e308, 1e308, 0.2)
 
 
 class TestControlMargin:

@@ -11,6 +11,12 @@ from pitchpilot.engine import TRACE_COLUMNS, Trace
 
 QUIET = ["--no-noise", "--set", "loop.disturbance.amplitude=0"]
 HUGE = "9" * 401   # an integer past the float range
+# Overrides that build valid sections but drive a sizing result past the
+# float range, and the result the error names.
+NONFINITE_SIZING = {"tail_sizing.X_CG=1e308 tail_sizing.X_AC=-1e308":
+                    "S_T/S_ref = nan",
+                    "missile.X_CG=1e308 missile.X_AC=-1e308":
+                    "static margin = -inf"}
 
 
 def run_cli(*argv):
@@ -89,17 +95,23 @@ class TestSimulate:
                                           "loop.actuator.wn=1e400",
                                           "loop.compensator.a=1e400",
                                           "loop.noise.variance=NaN",
-                                          "missile.X_CG=NaN"])
+                                          "missile.X_CG=NaN",
+                                          "scenario.initial=1e308"
+                                          " scenario.command=-1e308",
+                                          *NONFINITE_SIZING])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, override):
-        # `size` is the only command that builds missile and derivatives.
-        command = ("size" if override.startswith(("missile.", "derivatives."))
+        # `size` is the only command that builds the sizing sections.
+        command = ("size" if override.startswith(("missile.", "derivatives.",
+                                                  "tail_sizing."))
                    else "simulate")
         option = ([override] if override.startswith("--")
-                  else ["--set", override])
+                  else [arg for item in override.split()
+                        for arg in ("--set", item)])
         assert run_cli(command, "--out", str(tmp_path), *option) == EXIT_CONFIG
         section = ("scenario" if override.startswith("--")
                    else override.partition("=")[0].rsplit(".", 1)[0])
-        assert f"'{section}'" in capsys.readouterr().err
+        named = NONFINITE_SIZING.get(override, f"'{section}'")
+        assert named in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path):
         code = run_cli("simulate", "--out", str(tmp_path),
@@ -112,6 +124,17 @@ class TestSimulate:
         # tau/dt entries.
         assert run_cli("simulate", "--out", str(tmp_path), "--set",
                        "loop.actuator.tau=1e300", *QUIET) == EXIT_OK
+
+    def test_overflow_in_the_plant_exit_code(self, tmp_path):
+        # The plant and the error go non-finite in the same step (48).
+        assert run_cli(
+            "simulate", "--out", str(tmp_path), "--duration", "2",
+            "--set", "loop.actuator.gain=4614188.555029062",
+            "--set", "loop.plant.J_z=1.4568900730998578e-08",
+            "--set", "loop.plant.lam=0",
+            "--set", "loop.pid.k_p=3143279.220717917",
+            "--set", "loop.pid.k_d=0", "--set", "loop.actuator.tau=0.001",
+            "--set", "loop.kalman.enabled=false") == EXIT_DIVERGED
 
     def test_default_run_divergence_exit_code(self, tmp_path):
         # Diverges at step 9244 with a non-finite PID error later in the
@@ -137,6 +160,13 @@ class TestAb:
         a = Trace.from_csv(tmp_path / "trace_a.csv")
         b = Trace.from_csv(tmp_path / "trace_b.csv")
         assert np.max(np.abs(a.omega - b.omega)) < 1e-9
+
+    def test_overflowing_noise_envelope(self, tmp_path):
+        # Errors near 1e300 square past the float range in the envelope's
+        # variance, which must not warn (an error under the pytest filter).
+        assert run_cli("ab", "--out", str(tmp_path), "--set",
+                       "scenario.initial=1e300", "--set",
+                       "loop.actuator.tau=0.01") == EXIT_OK
 
     def test_noise_envelopes_reported(self, tmp_path):
         code = run_cli("ab", "--out", str(tmp_path), "--duration", "6",

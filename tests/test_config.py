@@ -1,9 +1,35 @@
 import json
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
 from pitchpilot import config as cfgmod
-from pitchpilot.errors import ConfigError
+from pitchpilot.aero import AeroDerivatives, MissileConfig, TailSizingInputs
+from pitchpilot.errors import (ConfigError, DomainError, NonNegative, Nonzero,
+                               Positive)
+from pitchpilot.metrics import BandSpec
+from pitchpilot.tuner import SweepSpec
+
+
+def _nested(params):
+    """`params` and every parameter dataclass nested in it."""
+    yield params
+    for f in fields(params):
+        if is_dataclass(f.type):
+            yield from _nested(getattr(params, f.name))
+
+
+# One valid instance of every parameter dataclass; a SweepSpec holds the
+# scenario, the loop with its blocks, and the cost.
+PARAMETER_SETS = {type(p): p for root in (
+    SweepSpec("actuator.gain", (7.0,)), MissileConfig(), AeroDerivatives(),
+    TailSizingInputs(), BandSpec(target=1.0, half_width=0.45))
+    for p in _nested(root)}
+# Range annotation -> values on the wrong side of its bound.
+VIOLATIONS = {Positive: (0, -1), NonNegative: (-1,), Nonzero: (0,)}
+RANGED_FIELDS = [pytest.param(params, f, id=f"{cls.__name__}.{f.name}")
+                 for cls, params in PARAMETER_SETS.items()
+                 for f in fields(params) if f.type in VIOLATIONS]
 
 
 class TestDefaults:
@@ -92,3 +118,16 @@ class TestOverrides:
         assert cfgmod.parse_value("true") is True
         assert cfgmod.parse_value("null") is None
         assert cfgmod.parse_value("hello") == "hello"
+
+
+class TestRangeAnnotations:
+    @pytest.mark.parametrize("params, field", RANGED_FIELDS)
+    def test_every_ranged_field_is_checked(self, params, field):
+        name = f"{type(params).__name__}.{field.name}"
+        for bad in VIOLATIONS[field.type]:
+            with pytest.raises(DomainError,
+                               match=rf"^{name} must be .*, got {bad}$"):
+                replace(params, **{field.name: bad})
+        if field.type is NonNegative:
+            assert getattr(replace(params, **{field.name: 0.0}),
+                           field.name) == 0.0

@@ -21,6 +21,13 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario(dt=2.0, duration=1.0)
 
+    @pytest.mark.parametrize("initial, command", [(1e308, -1e308),
+                                                  (-10 ** 308, 10 ** 308)],
+                             ids=["float", "int"])
+    def test_step_past_the_float_range_rejected(self, initial, command):
+        with pytest.raises(ConfigError, match="command - initial"):
+            Scenario(initial=initial, command=command)
+
 
 class TestRunScenario:
     def test_equilibrium_start(self, quiet_config):
@@ -138,17 +145,26 @@ class TestWindows:
                 assert (getattr(part, name).tobytes()
                         == getattr(full, name)[:len(part)].tobytes()), name
 
-    # In each run a PID error goes non-finite later in the window that
-    # diverges, so the checks must run in step order to report the
-    # divergence; the steps were measured on the per-step loop.
-    @pytest.mark.parametrize("gain, a, step", [(1e6, 11.0, 9244),
-                                               (5e4, 1e3, 8084),
-                                               (5e3, 1e300, 106)])
-    def test_divergence_is_reported_at_its_step(self, gain, a, step):
-        cfg = LoopConfig(actuator=ActuatorParams(gain=gain),
-                         compensator=CompensatorParams(a=a))
+    # In the first three runs a PID error goes non-finite later in the
+    # window that diverges, so the checks must run in step order to report
+    # the divergence; those steps were measured on the per-step loop.  In
+    # the last, the plant overflows in the same step as the error.
+    @pytest.mark.parametrize("config, duration, step", [
+        *(pytest.param(LoopConfig(actuator=ActuatorParams(gain=gain),
+                                  compensator=CompensatorParams(a=a)),
+                       10.0, step, id=f"{gain}-{a}-{step}")
+          for gain, a, step in ((1e6, 11.0, 9244), (5e4, 1e3, 8084),
+                                (5e3, 1e300, 106))),
+        pytest.param(LoopConfig(
+            pid=PidGains(k_p=3143279.220717917, k_d=0),
+            actuator=ActuatorParams(gain=4614188.555029062, tau=0.001),
+            plant=PitchPlantParams(J_z=1.4568900730998578e-08, lam=0),
+            kalman=KalmanParams(enabled=False)), 2.0, 48,
+            id="plant-and-error-overflow-together")])
+    def test_divergence_is_reported_at_its_step(self, config, duration,
+                                                 step):
         with pytest.raises(DivergedError) as excinfo:
-            run_scenario(cfg, Scenario())
+            run_scenario(config, Scenario(duration=duration))
         assert excinfo.value.step == step
 
     @pytest.mark.parametrize("tau", [20.0, 1e300])

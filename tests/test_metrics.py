@@ -175,3 +175,14 @@ class TestNoiseEnvelope:
         assert mx == pytest.approx(1.0, abs=1e-2)
         assert mn == pytest.approx(-1.0, abs=1e-2)
         assert 0 < var < 1.0
+
+    def test_variance_past_the_float_range_is_inf(self):
+        # Squaring errors of 1e300 overflows: the variance is inf, with no
+        # RuntimeWarning (an error under the pytest filter).
+        t = np.arange(0, 1.01, 0.01)
+        trace = make_trace(t, np.zeros_like(t),
+                           error=1e300 * np.sin(4 * np.pi * t))
+        mx, mn, var = noise_envelope(trace, 0.5)
+        assert mx == pytest.approx(1e300, rel=1e-2)
+        assert mn == pytest.approx(-1e300, rel=1e-2)
+        assert var == math.inf
