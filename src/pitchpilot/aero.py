@@ -194,6 +194,7 @@ def sizing_report(config: MissileConfig, derivs: AeroDerivatives,
     ratio = tail_area_ratio(tail)
     area = abs(ratio) * tail.S_ref
     margin = static_margin(config.X_AC, config.X_CG, config.l_M)
+    percent = _finite_result(margin * 100, "static margin in percent")
     cm_pass = check_control_margin(derivs.C_Ma, derivs.C_Md)
     lines = [
         "Conceptual sizing report",
@@ -201,7 +202,7 @@ def sizing_report(config: MissileConfig, derivs: AeroDerivatives,
         f"wing area S_W = b^2/AR = {wing_area_from_span(config.b, config.AR):.4f} m^2",
         f"tail area ratio S_T/S_ref = {ratio:.4f}",
         f"tail area S_T = {area:.4f} m^2",
-        f"static margin = {margin * 100:.2f}% of length"
+        f"static margin = {percent:.2f}% of length"
         f" ({static_margin_calibers(config.X_AC, config.X_CG, config.d):.3f} calibers)"
         f" -> {'stable' if margin > 0 else 'NOT stable'}",
         f"control margin C_Ma={derivs.C_Ma} < C_Md={derivs.C_Md}:"

@@ -7,6 +7,11 @@ local variables as a one-step call would.  Any split of the inputs into
 windows gives the same outputs and end state.  Instances are cheap; build a
 fresh set per run and never share them across runs.
 
+What no measurement or control reaches is computed once per configuration
+instead: the Kalman filter's covariance recursion fills a `GainSchedule`,
+which `gain_schedule` keeps for the next filter with the same parameters,
+so a filter's step only updates its state.
+
 Step methods do not check their inputs: a non-finite value runs through the
 recursion like any other, and `engine.run_scenario`, which scans every
 window's signals, decides where a run diverged.
@@ -16,7 +21,9 @@ in `__init__`: a numpy scalar would send each step's arithmetic through
 numpy's scalar machinery, about twice as slow as Python's float path.
 """
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +128,29 @@ def _zoh(A, B, dt):
     """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u."""
     if not dt > 0:
         raise ConfigError("dt must be > 0")
+    Ad, Bd = _expm_hold(A, B, dt)
+    if not (np.isfinite(Ad).all() and np.isfinite(Bd).all()):
+        # Bd is linear in B, but expm's scaling and squaring can overflow on
+        # a huge B: hold B scaled by an exact power of two and scale back.
+        exp = math.frexp(float(np.max(np.abs(B))))[1]
+        Ad, Bd = _expm_hold(A, np.ldexp(B, -exp), dt)
+        with np.errstate(over="ignore"):
+            Bd = np.ldexp(Bd, exp)
+    if not (np.isfinite(Ad).all() and np.isfinite(Bd).all()):
+        raise ConfigError(f"no finite zero-order hold of A={A.tolist()},"
+                          f" B={B.tolist()} at dt={dt}")
+    return Ad, Bd
+
+
+def _expm_hold(A, B, dt):
+    """(Ad, Bd) from one matrix exponential of [[A, B], [0, 0]]·dt; entries
+    that overflow come back non-finite."""
     n = len(B)
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = A
     M[:n, n] = B
     with np.errstate(over="ignore", invalid="ignore"):
         Md = expm(M * dt)
-    if not np.isfinite(Md).all():
-        raise ConfigError(f"no finite zero-order hold of A={A.tolist()},"
-                          f" B={B.tolist()} at dt={dt}")
     return Md[:n, :n], Md[:n, n]
 
 
@@ -156,6 +177,33 @@ def finite_prefix(values):
         return len(values)
     return next((i for i, v in enumerate(values) if not math.isfinite(v)),
                 len(values))
+
+
+def cache_last(build):
+    """`build` with its last result kept: a call whose arguments have the
+    same reprs as the last call's returns that result without building.
+    Keying on repr, not on equality, keeps apart values that compare equal
+    but compute differently (0.0 and -0.0, 1 and 1.0).  Like
+    functools.lru_cache(maxsize=1), the wrapper has `cache_clear`."""
+    last = {}
+
+    @functools.wraps(build)
+    def cached(*args):
+        key = tuple(map(repr, args))
+        if key not in last:
+            last.clear()
+            last[key] = build(*args)
+        return last[key]
+
+    cached.cache_clear = last.clear
+    return cached
+
+
+@cache_last
+def gain_schedule(params: KalmanParams, plant: PitchPlantParams, dt):
+    """The `GainSchedule` of these parameters, shared by every filter that
+    uses them until another set is asked for."""
+    return GainSchedule(params, plant, dt)
 
 
 def _steps(value, dt, what):
@@ -290,64 +338,101 @@ class Kalman:
 
     The prediction model is the exact zero-order-hold discretization of the
     undisturbed rotational plant driven by the deflection torque, so with
-    noise disabled the filter is transparent to machine precision.
+    noise disabled the filter is transparent to machine precision.  Its
+    covariance and gains do not depend on the measurements: the filter
+    reads them from the `GainSchedule` of its parameters and updates only
+    its state.  The first measurement is taken at the initial state, so the
+    first update has no prediction.
     """
 
     def __init__(self, params: KalmanParams, plant: PitchPlantParams, dt,
                  initial_pitch=0.0):
+        self.schedule = gain_schedule(params, plant, dt)
+        self.f01, self.f11 = self.schedule.f01, self.schedule.f11
+        self.g0, self.g1 = self.schedule.g0, self.schedule.g1
+        self.x0 = float(initial_pitch)
+        self.x1 = 0.0
+        self.updates = 0
+
+    def step(self, measurements, controls):
+        """Per step, predict with the control torque held over the step,
+        then update with the measurement; returns the filtered pitches.
+        The first update of the filter reads no control."""
+        start = self.updates
+        self.updates = start + len(measurements)
+        k0s, k1s = self.schedule.gains(start, self.updates)
+        f01, f11, g0, g1 = self.f01, self.f11, self.g0, self.g1
+        x0, x1 = self.x0, self.x1
+        out = []
+        if start == 0 and measurements:
+            innov = measurements[0] - x0
+            x0 += k0s[0] * innov
+            x1 += k1s[0] * innov
+            out.append(x0)
+            measurements, controls = measurements[1:], controls[1:]
+            k0s, k1s = k0s[1:], k1s[1:]
+        for measurement, control, k0, k1 in zip(measurements, controls,
+                                                k0s, k1s):
+            x0 += f01 * x1 + g0 * control
+            x1 = f11 * x1 + g1 * control
+            innov = measurement - x0
+            x0 += k0 * innov
+            x1 += k1 * innov
+            out.append(x0)
+        self.x0, self.x1 = x0, x1
+        return out
+
+
+class GainSchedule:
+    """Gains of a `Kalman` filter's successive updates.
+
+    Entry j of `k0`, `k1` is update j's gain on pitch and on rate.  The
+    covariance starts at the identity, and every update after the first
+    predicts before it updates, as the filter does; `p` is (p00, p01, p11)
+    after the last update computed.  Entries are computed when first asked
+    for and appended, never changed, so filters can share a schedule.  The
+    tables are `array('d')`: 8 bytes an entry, grown in place to the
+    length asked for.
+    """
+
+    def __init__(self, params: KalmanParams, plant: PitchPlantParams, dt):
         Ad, Bd = _zoh(*plant.model(), dt)
         # The transition matrix is upper triangular for this plant; keep the
-        # filter in scalar form so a 10^4-step run stays cheap.
+        # recursion in scalar form so a 10^4-step schedule stays cheap.
         (_, self.f01), (_, self.f11) = Ad.tolist()
         self.g0, self.g1 = Bd.tolist()
         self.q00 = float(params.q_omega * dt)
         self.q11 = float(params.q_rate * dt)
         self.r = float(params.r)
-        self.x0 = float(initial_pitch)
-        self.x1 = 0.0
-        self.p00, self.p01, self.p11 = 1.0, 0.0, 1.0
+        self.k0, self.k1 = array("d"), array("d")
+        self.p = (1.0, 0.0, 1.0)
 
-    def assimilate(self, measurement):
-        """Measurement update only (used for the initial sample)."""
-        S = self.p00 + self.r
-        k0 = self.p00 / S
-        k1 = self.p01 / S
-        innov = measurement - self.x0
-        self.x0 += k0 * innov
-        self.x1 += k1 * innov
-        self.p11 -= k1 * self.p01
-        self.p00 *= 1.0 - k0
-        self.p01 *= 1.0 - k0
-        return self.x0
+    def gains(self, start, stop):
+        """(k0 list, k1 list) of updates start .. stop - 1."""
+        if stop > len(self.k0):
+            self._extend(stop)
+        return self.k0[start:stop].tolist(), self.k1[start:stop].tolist()
 
-    def step(self, measurements, controls):
-        """Per step, predict with the control torque, then update with the
-        measurement (as `assimilate` does); returns the filtered pitches."""
-        f01, f11, g0, g1 = self.f01, self.f11, self.g0, self.g1
-        q00, q11, r = self.q00, self.q11, self.r
-        x0, x1 = self.x0, self.x1
-        p00, p01, p11 = self.p00, self.p01, self.p11
-        out = []
-        for measurement, control in zip(measurements, controls):
-            x0 += f01 * x1 + g0 * control
-            x1 = f11 * x1 + g1 * control
-            p01f = p01 + f01 * p11
-            p00 += f01 * p01 + f01 * p01f + q00
-            p01 = p01f * f11
-            p11 = f11 * f11 * p11 + q11
+    def _extend(self, count):
+        """Compute entries up to `count`: the filter's covariance recursion."""
+        f01, f11, q00, q11, r = self.f01, self.f11, self.q00, self.q11, self.r
+        p00, p01, p11 = self.p
+        k0s, k1s = self.k0.append, self.k1.append
+        for j in range(len(self.k0), count):
+            if j:
+                p01f = p01 + f01 * p11
+                p00 += f01 * p01 + f01 * p01f + q00
+                p01 = p01f * f11
+                p11 = f11 * f11 * p11 + q11
             S = p00 + r
             k0 = p00 / S
             k1 = p01 / S
-            innov = measurement - x0
-            x0 += k0 * innov
-            x1 += k1 * innov
             p11 -= k1 * p01
             p00 *= 1.0 - k0
             p01 *= 1.0 - k0
-            out.append(x0)
-        self.x0, self.x1 = x0, x1
-        self.p00, self.p01, self.p11 = p00, p01, p11
-        return out
+            k0s(k0)
+            k1s(k1)
+        self.p = p00, p01, p11
 
 
 class NoiseSource:

@@ -19,6 +19,13 @@ one scan per window checks the signals in step order.
 The plant advances by its exact zero-order-hold map, with the sinusoidal
 disturbance carried as oscillator states, so its update has no step-size
 limit; everything else is discrete-time.
+
+A workflow repeats runs that differ only in the controller or the actuator,
+so what those never reach is computed once per configuration and kept for
+the next run: `_plan` holds the time grid k·dt, amplitude·cos(frequency·t)
+for the plant's exact hold and the plant's hold rows, and the Kalman filter
+reads its gains from a `blocks.GainSchedule`.  Per window stay the block
+recursions, the noise draws and the disturbance sine (`disturbance_at`).
 """
 
 import math
@@ -29,8 +36,8 @@ import numpy as np
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, Kalman, KalmanParams, Lead,
                      NoiseParams, NoiseSource, Pid, PidGains,
-                     PitchPlantParams, disturbance_at, finite_prefix,
-                     plant_step)
+                     PitchPlantParams, cache_last, disturbance_at,
+                     finite_prefix, plant_step)
 from .errors import ConfigError, DivergedError, Positive, validate_fields
 
 
@@ -141,24 +148,22 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     noise = NoiseSource(config.noise, dt, seed)
     kal = (Kalman(config.kalman, config.plant, dt, scenario.initial)
            if config.kalman.enabled else None)
-    amp = float(config.disturbance.amplitude)
-    freq = float(config.disturbance.frequency)
-    dist = DisturbanceParams(amp, freq)
-    (p01, p0u, p0s, p0c), (p11, p1u, p1s, p1c) = plant_step(
-        config.plant, dist, dt)
+    dist, t, d_cos, plant_rows = _plan(dt, n, config.disturbance, config.plant)
+    (p01, p0u, p0s, p0c), (p11, p1u, p1s, p1c) = plant_rows
 
     omega = float(scenario.initial)
     omega_dot = 0.0
     cmd = float(scenario.command)
+    rec[:, 0] = t
+    rec[:, 1] = cmd
 
-    # The first window is the initial sample alone, filtered by a
-    # measurement update without a prediction.
+    # The first window is the initial sample alone, filtered by the
+    # Kalman filter's first update, which has no prediction.
     k0, k1 = 0, 1
-    ts = [0.0]
-    ds = disturbance_at(dist, ts)
+    ds = disturbance_at(dist, [0.0])
     omegas, rates = [omega], [omega_dot]
     meas = [omega + v for v in noise.sample(range(1))]
-    filt = [kal.assimilate(meas[0])] if kal else meas
+    filt = kal.step(meas, [0.0]) if kal else meas
     while True:
         errors = [cmd - f for f in filt]
         u_pid = pid.step(errors)
@@ -169,8 +174,8 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
             raise DivergedError(k0 + bad)
         # Row-major (step, column) storage keeps each step's values
         # adjacent for the row-by-row CSV writer.
-        for col, values in enumerate((ts, cmd, omegas, rates, meas, filt,
-                                      errors, u_pid, u_lead, delta, ds)):
+        for col, values in enumerate((omegas, rates, meas, filt, errors,
+                                      u_pid, u_lead, delta, ds), start=2):
             rec[k0:k1, col] = values
         if k1 == n:
             return Trace(*rec.T)
@@ -180,21 +185,36 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
         # its delay line.
         k2 = min(k1 + window, n)
         drive = [delta[-1], *act.pending][:k2 - k1]
-        t_from, d_from = [ts[-1]], [ds[-1]]
+        d_from = ds[-1]
         k0, k1 = k1, k2
-        ts = [k * dt for k in range(k0, k1)]
-        ds = disturbance_at(dist, ts)
+        ds = disturbance_at(dist, t[k0:k1].tolist())
         omegas, rates = [], []
-        for u, d, t in zip(drive, d_from + ds, t_from + ts):
+        for u, d, d_c in zip(drive, [d_from, *ds],
+                             d_cos[k0 - 1:k1 - 1].tolist()):
             # Pitch is the integral of rate, so its coefficient on pitch is
             # exactly 1 and the update is written as an increment.
-            d_cos = amp * math.cos(freq * t)
-            omega += p01 * omega_dot + p0u * u + p0s * d + p0c * d_cos
-            omega_dot = p11 * omega_dot + p1u * u + p1s * d + p1c * d_cos
+            omega += p01 * omega_dot + p0u * u + p0s * d + p0c * d_c
+            omega_dot = p11 * omega_dot + p1u * u + p1s * d + p1c * d_c
             omegas.append(omega)
             rates.append(omega_dot)
         meas = [w + v for w, v in zip(omegas, noise.sample(range(k0, k1)))]
         filt = kal.step(meas, drive) if kal else meas
+
+
+@cache_last
+def _plan(dt, n, disturbance: DisturbanceParams, plant: PitchPlantParams):
+    """The gain-independent part of a run of n steps: the disturbance as
+    floats, the time grid k·dt, amplitude·cos(frequency·t) on it and the
+    plant's exact-hold rows (`plant_step`).  The sine stays a per-window
+    `disturbance_at` call."""
+    amp = float(disturbance.amplitude)
+    freq = float(disturbance.frequency)
+    dist = DisturbanceParams(amp, freq)
+    t = np.arange(n) * dt
+    d_cos = np.fromiter((amp * math.cos(freq * (k * dt)) for k in range(n)),
+                        float, n)
+    t.flags.writeable = d_cos.flags.writeable = False   # shared across runs
+    return dist, t, d_cos, plant_step(plant, dist, dt)
 
 
 def run_ab_pair(config: LoopConfig, scenario: Scenario):

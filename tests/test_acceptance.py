@@ -284,9 +284,8 @@ class TestCriterion9OracleEquivalence:
         params = KalmanParams()
         kal = Kalman(params, PitchPlantParams(), dt=dt)
         kal.step([0.0] * 20000, [0.0] * 20000)
-        p01f = kal.p01 + kal.f01 * kal.p11
-        p00_pred = kal.p00 + kal.f01 * kal.p01 + kal.f01 * p01f + kal.q00
-        gain_filter = p00_pred / (p00_pred + params.r)
+        # The gain the next update will use.
+        (gain_filter,), _ = kal.schedule.gains(kal.updates, kal.updates + 1)
 
         F = np.array([[1.0, kal.f01], [0.0, kal.f11]])
         Q = np.diag([params.q_omega, params.q_rate]) * dt

@@ -9,7 +9,7 @@ from pitchpilot.blocks import (Actuator, ActuatorParams, CompensatorParams,
                                DisturbanceParams, Kalman, KalmanParams, Lead,
                                NoiseParams, NoiseSource, Pid, PidGains,
                                PitchPlantParams, _zoh, disturbance_at,
-                               plant_step)
+                               gain_schedule, plant_step)
 from pitchpilot.errors import ConfigError, DomainError
 
 
@@ -188,7 +188,8 @@ class TestLoopCoefficientsArePythonFloats:
                       ("pid", pid, "k_p k_i k_d alpha"),
                       ("lead", lead, "b0 b1 a0 a1"),
                       ("act", act, "a00 a01 a10 a11 b_0 b_1 x0"),
-                      ("kal", kal, "f01 f11 g0 g1 q00 q11 r x0"))
+                      ("kal", kal, "f01 f11 g0 g1 x0"),
+                      ("kal.schedule", kal.schedule, "q00 q11 r"))
                   for attr in attrs.split()}
         rows = plant_step(params(PitchPlantParams),
                           params(DisturbanceParams), dt)
@@ -235,8 +236,23 @@ class TestZoh:
         assert np.array_equal(Bd, Bd_ref[:, 0])
 
 
+    @pytest.mark.parametrize("gain", [1e100, -1e300])
+    def test_hold_of_a_huge_input_gain(self, gain):
+        # expm overflows on B = gain·wn², yet the hold is linear in B.
+        dt = 0.001
+        unit = Actuator(ActuatorParams(gain=1.0), dt)
+        act = Actuator(ActuatorParams(gain=gain), dt)
+        for name in ("a00", "a01", "a10", "a11"):
+            assert getattr(act, name) == pytest.approx(getattr(unit, name),
+                                                       rel=1e-12)
+        assert act.b_0 / gain == pytest.approx(unit.b_0, rel=1e-12)
+        assert act.b_1 / gain == pytest.approx(unit.b_1, rel=1e-12)
+
+
 def _covariance(kal):
-    return np.array([[kal.p00, kal.p01], [kal.p01, kal.p11]])
+    """Covariance after the last update of the filter's schedule."""
+    p00, p01, p11 = kal.schedule.p
+    return np.array([[p00, p01], [p01, p11]])
 
 
 class TestKalman:
@@ -257,10 +273,8 @@ class TestKalman:
         params = KalmanParams()
         kal = Kalman(params, self.plant, dt=dt)
         kal.step([0.0] * 20000, [0.0] * 20000)
-        # Reconstruct the predicted pitch variance the next update would see.
-        p01f = kal.p01 + kal.f01 * kal.p11
-        p00_pred = kal.p00 + kal.f01 * kal.p01 + kal.f01 * p01f + kal.q00
-        gain_filter = p00_pred / (p00_pred + params.r)
+        # The gain the next update will use.
+        (gain_filter,), _ = kal.schedule.gains(kal.updates, kal.updates + 1)
 
         # Independent Riccati fixed-point iteration on the same model.
         F = np.array([[1.0, kal.f01], [0.0, kal.f11]])
@@ -274,6 +288,8 @@ class TestKalman:
         assert gain_filter == pytest.approx(float(K[0, 0]), abs=1e-6)
 
     def test_covariance_monotone_and_positive(self):
+        # A fresh schedule is computed as far as this filter has stepped.
+        gain_schedule.cache_clear()
         kal = Kalman(KalmanParams(), self.plant, dt=0.001)
         prev = np.trace(_covariance(kal))
         for _ in range(500):

@@ -16,7 +16,8 @@ HUGE = "9" * 401   # an integer past the float range
 NONFINITE_SIZING = {"tail_sizing.X_CG=1e308 tail_sizing.X_AC=-1e308":
                     "S_T/S_ref = nan",
                     "missile.X_CG=1e308 missile.X_AC=-1e308":
-                    "static margin = -inf"}
+                    "static margin = -inf",
+                    "missile.X_AC=1e307": "static margin in percent = inf"}
 
 
 def run_cli(*argv):
@@ -135,6 +136,11 @@ class TestSimulate:
             "--set", "loop.pid.k_p=3143279.220717917",
             "--set", "loop.pid.k_d=0", "--set", "loop.actuator.tau=0.001",
             "--set", "loop.kalman.enabled=false") == EXIT_DIVERGED
+
+    def test_huge_actuator_gain_diverges(self, tmp_path):
+        # The servo's hold is finite but past expm's reach without scaling.
+        assert run_cli("simulate", "--out", str(tmp_path), "--set",
+                       "loop.actuator.gain=1e100") == EXIT_DIVERGED
 
     def test_default_run_divergence_exit_code(self, tmp_path):
         # Diverges at step 9244 with a non-finite PID error later in the
