@@ -134,7 +134,8 @@ def reference_run(config: LoopConfig, scenario: Scenario):
 
 
 def _bytes(trace):
-    return np.stack([getattr(trace, c) for c in TRACE_COLUMNS], axis=1).tobytes()
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
+    return np.stack(columns, axis=1).tobytes()
 
 
 def _clear_caches():
