@@ -78,7 +78,6 @@ class NoiseParams:
     enabled: bool = True
     variance: NonNegative = 0.1     # deg²
     sample_time: Positive = 0.01   # hold interval (s)
-    seed: int | None = None   # None -> use the scenario seed
 
     def __post_init__(self):
         validate_fields(self)
@@ -125,33 +124,27 @@ class PitchPlantParams:
 
 
 def _zoh(A, B, dt):
-    """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u."""
+    """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u, from
+    one matrix exponential of [[A, B], [0, 0]]·dt (Van Loan 1978)."""
     if not dt > 0:
         raise ConfigError("dt must be > 0")
-    Ad, Bd = _expm_hold(A, B, dt)
-    if not (np.isfinite(Ad).all() and np.isfinite(Bd).all()):
-        # Bd is linear in B, but expm's scaling and squaring can overflow on
-        # a huge B: hold B scaled by an exact power of two and scale back.
-        exp = math.frexp(float(np.max(np.abs(B))))[1]
-        Ad, Bd = _expm_hold(A, np.ldexp(B, -exp), dt)
-        with np.errstate(over="ignore"):
-            Bd = np.ldexp(Bd, exp)
+    # expm picks its scaling from the norm of the whole matrix, so a B far
+    # above A costs Ad its accuracy: hold B scaled down by an exact power of
+    # two and scale Bd, which is linear in B, back up.
+    e_A = math.frexp(max(float(np.max(np.abs(A))), 1.0))[1]
+    e_B = math.frexp(float(np.max(np.abs(B))))[1]
+    shift = max(0, e_B - e_A - 32)
+    n = len(B)
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = A
+    M[:n, n] = np.ldexp(B, -shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Md = expm(M * dt)
+        Ad, Bd = Md[:n, :n], np.ldexp(Md[:n, n], shift)
     if not (np.isfinite(Ad).all() and np.isfinite(Bd).all()):
         raise ConfigError(f"no finite zero-order hold of A={A.tolist()},"
                           f" B={B.tolist()} at dt={dt}")
     return Ad, Bd
-
-
-def _expm_hold(A, B, dt):
-    """(Ad, Bd) from one matrix exponential of [[A, B], [0, 0]]·dt; entries
-    that overflow come back non-finite."""
-    n = len(B)
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = B
-    with np.errstate(over="ignore", invalid="ignore"):
-        Md = expm(M * dt)
-    return Md[:n, :n], Md[:n, n]
 
 
 def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
@@ -208,6 +201,8 @@ def gain_schedule(params: KalmanParams, plant: PitchPlantParams, dt):
 
 def _steps(value, dt, what):
     """value/dt as an int; ConfigError unless it is a whole number of steps."""
+    if not dt > 0:
+        raise ConfigError("dt must be > 0")
     ratio = value / dt
     n = round(ratio) if math.isfinite(ratio) else 0
     # A positive value must span at least one step; a step count past the

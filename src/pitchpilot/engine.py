@@ -144,8 +144,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     lead = Lead(config.compensator, dt) if config.compensator.enabled else None
     act = Actuator(config.actuator, dt, initial=0.0, run_steps=n)
     window = len(act.pending) + 1
-    seed = config.noise.seed if config.noise.seed is not None else scenario.seed
-    noise = NoiseSource(config.noise, dt, seed)
+    noise = NoiseSource(config.noise, dt, scenario.seed)
     kal = (Kalman(config.kalman, config.plant, dt, scenario.initial)
            if config.kalman.enabled else None)
     dist, t, d_cos, plant_rows = _plan(dt, n, config.disturbance, config.plant)

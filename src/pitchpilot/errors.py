@@ -75,8 +75,6 @@ _KINDS = {
     Nonzero: ("a finite number != 0", lambda v: _finite(v) and v != 0),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("a non-negative integer", _count),
-    int | None: ("a non-negative integer or null",
-                 lambda v: v is None or _count(v)),
 }
 
 

@@ -83,79 +83,67 @@ def sweep(spec: SweepSpec):
     return rows
 
 
+class _BudgetSpent(Exception):
+    """Raised by `nelder_mead`'s probe once the evaluation budget is spent."""
+
+
 def nelder_mead(f, x0, steps, max_evals, x_tol=1e-6, f_tol=1e-9):
     """Minimal Nelder-Mead with a hard evaluation budget.
 
     Returns (best_x, best_f, history) where history is the best-so-far cost
-    after each evaluation (non-increasing by construction).
+    after each evaluation (non-increasing by construction).  The first
+    evaluation always runs.
     """
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     x0 = np.asarray(x0, dtype=float)
     history = []
     best = {"x": x0.copy(), "f": np.inf}
-    evals = 0
 
     def probe(x):
-        nonlocal evals
-        evals += 1
         fx = f(np.asarray(x, dtype=float))
         if fx < best["f"]:
             best["x"], best["f"] = np.array(x, dtype=float), fx
         history.append(best["f"])
+        if len(history) >= max_evals:
+            raise _BudgetSpent
         return fx
 
-    f0 = probe(x0)
-    if max_evals <= 1:
-        return best["x"], best["f"], history
-
-    simplex = [x0.copy()]
-    scores = [f0]
+    simplex = np.tile(x0, (len(x0) + 1, 1))
     for i in range(len(x0)):
-        if evals >= max_evals:
-            return best["x"], best["f"], history
-        vertex = x0.copy()
-        vertex[i] += steps[i]
-        simplex.append(vertex)
-        scores.append(probe(vertex))
+        simplex[i + 1, i] += steps[i]
+    try:
+        scores = np.array([probe(x) for x in simplex], dtype=float)
 
-    simplex = np.array(simplex)
-    scores = np.array(scores, dtype=float)
-
-    while evals < max_evals:
-        order = np.argsort(scores)
-        simplex, scores = simplex[order], scores[order]
-        if (np.max(np.abs(simplex[1:] - simplex[0])) < x_tol
-                and np.max(scores) - np.min(scores) < f_tol):
-            break
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + alpha * (centroid - simplex[-1])
-        fr = probe(xr)
-        if scores[0] <= fr < scores[-2]:
-            simplex[-1], scores[-1] = xr, fr
-            continue
-        if fr < scores[0]:
-            if evals >= max_evals:
+        while True:
+            order = np.argsort(scores)
+            simplex, scores = simplex[order], scores[order]
+            if (np.max(np.abs(simplex[1:] - simplex[0])) < x_tol
+                    and np.max(scores) - np.min(scores) < f_tol):
                 break
-            xe = centroid + gamma * (xr - centroid)
-            fe = probe(xe)
-            if fe < fr:
-                simplex[-1], scores[-1] = xe, fe
-            else:
+            centroid = simplex[:-1].mean(axis=0)
+            xr = centroid + alpha * (centroid - simplex[-1])
+            fr = probe(xr)
+            if scores[0] <= fr < scores[-2]:
                 simplex[-1], scores[-1] = xr, fr
-            continue
-        if evals >= max_evals:
-            break
-        xc = centroid + rho * (simplex[-1] - centroid)
-        fc = probe(xc)
-        if fc < scores[-1]:
-            simplex[-1], scores[-1] = xc, fc
-            continue
-        for i in range(1, len(simplex)):
-            if evals >= max_evals:
-                break
-            simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-            scores[i] = probe(simplex[i])
-
+                continue
+            if fr < scores[0]:
+                xe = centroid + gamma * (xr - centroid)
+                fe = probe(xe)
+                if fe < fr:
+                    simplex[-1], scores[-1] = xe, fe
+                else:
+                    simplex[-1], scores[-1] = xr, fr
+                continue
+            xc = centroid + rho * (simplex[-1] - centroid)
+            fc = probe(xc)
+            if fc < scores[-1]:
+                simplex[-1], scores[-1] = xc, fc
+                continue
+            for i in range(1, len(simplex)):
+                simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
+                scores[i] = probe(simplex[i])
+    except _BudgetSpent:
+        pass
     return best["x"], best["f"], history
 
 

@@ -225,8 +225,10 @@ class TestZoh:
         assert Bd[1] == pytest.approx((1.0 - decay) / lam, abs=1e-15)
         assert Bd[0] == pytest.approx((dt - f01) / lam, abs=1e-15)
 
-    def test_actuator_matches_cont2discrete(self):
-        p, dt = ActuatorParams(), 0.001
+    @pytest.mark.parametrize("gain", [1.0, 7.0, 15.0, 5000.0, 5e4, 1e9])
+    def test_actuator_matches_cont2discrete(self, gain):
+        # Up to B = 2**32·max|A| the hold is one unscaled expm, as in scipy.
+        p, dt = ActuatorParams(gain=gain), 0.001
         A = np.array([[0.0, 1.0], [-p.wn ** 2, -2.0 * p.mu * p.wn]])
         B = np.array([0.0, p.gain * p.wn ** 2])
         Ad, Bd = _zoh(A, B, dt)
@@ -235,10 +237,10 @@ class TestZoh:
         assert np.array_equal(Ad, Ad_ref)
         assert np.array_equal(Bd, Bd_ref[:, 0])
 
-
-    @pytest.mark.parametrize("gain", [1e100, -1e300])
+    @pytest.mark.parametrize("gain", [1e40, 1e75, 1e90, 1e100, -1e300])
     def test_hold_of_a_huge_input_gain(self, gain):
-        # expm overflows on B = gain·wn², yet the hold is linear in B.
+        # An unscaled expm of B = gain·wn² loses Ad or overflows, yet the
+        # hold is linear in B.
         dt = 0.001
         unit = Actuator(ActuatorParams(gain=1.0), dt)
         act = Actuator(ActuatorParams(gain=gain), dt)
@@ -345,6 +347,11 @@ class TestNoise:
     def test_sample_time_guard(self):
         with pytest.raises(ConfigError):
             NoiseSource(NoiseParams(sample_time=0.0015), dt=0.001, seed=0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.001])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ConfigError, match="dt must be > 0"):
+            NoiseSource(NoiseParams(), dt=dt, seed=0)
 
 
 class TestDisturbance:

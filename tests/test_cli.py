@@ -72,7 +72,7 @@ class TestSimulate:
                                           "loop.plant.J_z=abc",
                                           "scenario.seed=abc",
                                           "scenario.seed=1.5",
-                                          "loop.noise.seed=-1",
+                                          "scenario.seed=-1",
                                           "scenario.initial=abc",
                                           "scenario.command=abc",
                                           "loop.noise.enabled=maybe",

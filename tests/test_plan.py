@@ -67,8 +67,7 @@ def reference_run(config: LoopConfig, scenario: Scenario):
     hold = round(noise.sample_time / dt)
     sigma = math.sqrt(noise.variance)
     noisy = noise.enabled and noise.variance > 0
-    rng = np.random.default_rng(noise.seed if noise.seed is not None
-                                else scenario.seed)
+    rng = np.random.default_rng(scenario.seed)
     v = 0.0
 
     kal = config.kalman

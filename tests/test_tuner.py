@@ -53,6 +53,31 @@ class TestNelderMead:
                                     max_evals=60)
         assert all(b <= a for a, b in zip(history, history[1:]))
 
+    @pytest.mark.parametrize("shape", ["quadratic", "cliff", "plateau"])
+    @pytest.mark.parametrize("max_evals", range(1, 41))
+    def test_budget_at_every_exit(self, shape, max_evals):
+        # From the origin all three reach the expansion and contraction
+        # steps; the plateau's ties also reach the shrink step.  None
+        # converges within 40 evaluations, so each spends its whole budget.
+        target = np.array([3.0, -2.0])
+        calls = []
+
+        def f(x):
+            value = float(np.sum((x - target) ** 2))
+            if shape == "cliff":
+                value += 1e6 if x[0] > 2.0 else 0.0
+            elif shape == "plateau":
+                value = float(np.floor(value))
+            calls.append((x.copy(), value))
+            return value
+
+        best_x, best_f, history = nelder_mead(f, np.zeros(2), [1.0, 1.0],
+                                              max_evals)
+        assert len(calls) == len(history) == max_evals
+        x, value = min(calls, key=lambda call: call[1])
+        assert best_f == value
+        assert np.array_equal(best_x, x)
+
 
 class TestSweep:
     def test_single_value_matches_run_scenario(self, quiet_config):
@@ -92,7 +117,7 @@ class TestSweep:
     @pytest.mark.parametrize("path, value", [("actuator.gain", float("nan")),
                                              ("actuator.tau", -1.0),
                                              ("noise.enabled", 1.0),
-                                             ("noise.seed", 1.5),
+                                             ("noise.sample_time", -1.0),
                                              ("actuator", 1.0)])
     def test_value_built_like_an_override(self, quiet_config, path, value):
         with pytest.raises(ConfigError, match=r"'loop\.(actuator|noise)"):
