@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DomainError, Nonzero, Positive,
-                     SingularConfigurationError, validate_fields)
+                     SingularConfigurationError, fixed, validate_fields)
 
 
 @dataclass(frozen=True)
@@ -195,15 +195,17 @@ def sizing_report(config: MissileConfig, derivs: AeroDerivatives,
     area = abs(ratio) * tail.S_ref
     margin = static_margin(config.X_AC, config.X_CG, config.l_M)
     percent = _finite_result(margin * 100, "static margin in percent")
+    calibers = static_margin_calibers(config.X_AC, config.X_CG, config.d)
+    wing_area = wing_area_from_span(config.b, config.AR)
     cm_pass = check_control_margin(derivs.C_Ma, derivs.C_Md)
     lines = [
         "Conceptual sizing report",
         "------------------------",
-        f"wing area S_W = b^2/AR = {wing_area_from_span(config.b, config.AR):.4f} m^2",
-        f"tail area ratio S_T/S_ref = {ratio:.4f}",
-        f"tail area S_T = {area:.4f} m^2",
-        f"static margin = {percent:.2f}% of length"
-        f" ({static_margin_calibers(config.X_AC, config.X_CG, config.d):.3f} calibers)"
+        f"wing area S_W = b^2/AR = {fixed(wing_area, '.4f')} m^2",
+        f"tail area ratio S_T/S_ref = {fixed(ratio, '.4f')}",
+        f"tail area S_T = {fixed(area, '.4f')} m^2",
+        f"static margin = {fixed(percent, '.2f')}% of length"
+        f" ({fixed(calibers, '.3f')} calibers)"
         f" -> {'stable' if margin > 0 else 'NOT stable'}",
         f"control margin C_Ma={derivs.C_Ma} < C_Md={derivs.C_Md}:"
         f" {'pass' if cm_pass else 'FAIL'}",

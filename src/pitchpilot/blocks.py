@@ -442,14 +442,16 @@ class NoiseSource:
 
     def sample(self, steps):
         """Noise value for each step index of the sequence `steps`, in
-        order; draws fresh at each hold boundary."""
+        order; draws fresh at each hold boundary, all of the call's draws
+        in one `normal` call (the same numbers as one call per draw)."""
         if not self.enabled:
             return [0.0] * len(steps)
-        hold, value = self.hold, self.value
-        out = []
-        for k in steps:
-            if k % hold == 0:
-                value = self.rng.normal(0.0, self.sigma)
+        fresh = [k % self.hold == 0 for k in steps]
+        draws = iter(self.rng.normal(0.0, self.sigma, size=sum(fresh)).tolist())
+        value, out = self.value, []
+        for new in fresh:
+            if new:
+                value = next(draws)
             out.append(value)
         self.value = value
         return out

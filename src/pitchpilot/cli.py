@@ -13,7 +13,7 @@ from . import config as cfgmod
 from .aero import sizing_report
 from .engine import Trace, run_ab_pair, run_scenario
 from .errors import (ConfigError, DivergedError, NoResponseError,
-                     PitchPilotError)
+                     PitchPilotError, fixed)
 from .metrics import (BAND_FRACTION, band_for_step, devaud_report,
                       noise_envelope, step_metrics)
 from .tuner import CostSpec, SweepSpec, sweep, tune_pid
@@ -93,13 +93,13 @@ def _outdir(args):
 
 def _metrics_text(m, label=""):
     head = f"Step metrics {label}".rstrip() + "\n"
-    t_s = f"{m.t_s * 1000:.1f} ms" if m.t_s is not None else "never"
+    t_s = f"{fixed(m.t_s * 1000, '.1f')} ms" if m.t_s is not None else "never"
     body = (
-        f"  rise time t_r      = {m.t_r * 1000:.1f} ms\n"
-        f"  peak time t_p      = {m.t_p * 1000:.1f} ms\n"
+        f"  rise time t_r      = {fixed(m.t_r * 1000, '.1f')} ms\n"
+        f"  peak time t_p      = {fixed(m.t_p * 1000, '.1f')} ms\n"
         f"  settling time t_s  = {t_s}\n"
-        f"  peak overshoot M_p = {m.m_p:.3f} deg\n"
-        f"  percent overshoot  = {m.pct_overshoot:.1f} %\n"
+        f"  peak overshoot M_p = {fixed(m.m_p, '.3f')} deg\n"
+        f"  percent overshoot  = {fixed(m.pct_overshoot, '.1f')} %\n"
     )
     return head + body + devaud_report(m) + "\n"
 
@@ -140,22 +140,20 @@ def cmd_ab(args):
     m_b = step_metrics(trace_b, scenario.initial, scenario.command, band)
 
     def improvement(a, b):
-        return 100.0 * (a - b) / a if a else float("nan")
+        return fixed(100.0 * (a - b) / a if a else float("nan"), ".1f")
 
     lines = [_metrics_text(m_a, "(A: no compensator)"),
              _metrics_text(m_b, "(B: with compensator)"),
              "Improvement of B over A:",
-             f"  rise time:     {improvement(m_a.t_r, m_b.t_r):.1f} %"]
+             f"  rise time:     {improvement(m_a.t_r, m_b.t_r)} %"]
     if m_a.t_s is not None and m_b.t_s is not None:
-        lines.append(f"  settling time: {improvement(m_a.t_s, m_b.t_s):.1f} %")
-    lines.append(f"  peak overshoot: {improvement(m_a.m_p, m_b.m_p):.1f} %")
+        lines.append(f"  settling time: {improvement(m_a.t_s, m_b.t_s)} %")
+    lines.append(f"  peak overshoot: {improvement(m_a.m_p, m_b.m_p)} %")
     if loop.noise.enabled:
-        env_a = noise_envelope(trace_a, scenario.duration / 2)
-        env_b = noise_envelope(trace_b, scenario.duration / 2)
-        lines.append(
-            f"Noise envelope A: max {env_a[0]:.3f} min {env_a[1]:.3f} deg")
-        lines.append(
-            f"Noise envelope B: max {env_b[0]:.3f} min {env_b[1]:.3f} deg")
+        for leg, trace in (("A", trace_a), ("B", trace_b)):
+            mx, mn, _ = noise_envelope(trace, scenario.duration / 2)
+            lines.append(f"Noise envelope {leg}: max {fixed(mx, '.3f')}"
+                         f" min {fixed(mn, '.3f')} deg")
     report = "\n".join(lines) + "\n"
     (out / "ab_report.txt").write_text(report, encoding="utf-8")
     print(report, end="")
@@ -210,7 +208,7 @@ def cmd_sweep(args):
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     winner = min(rows, key=lambda row: row[2])
     print(f"swept {spec.path} over {len(rows)} values;"
-          f" best {spec.path} = {winner[0]} (cost {winner[2]:.4f})")
+          f" best {spec.path} = {winner[0]} (cost {fixed(winner[2], '.4f')})")
     return EXIT_OK
 
 
@@ -221,10 +219,11 @@ def cmd_tune(args):
     scenario = cfgmod.scenario_from(cfg)
     gains, history = tune_pid(loop, scenario, CostSpec(), args.max_evals)
     report = (
-        f"tuned gains: k_p={gains.k_p:.4f} k_i={gains.k_i:.4f}"
-        f" k_d={gains.k_d:.4f}\n"
+        f"tuned gains: k_p={fixed(gains.k_p, '.4f')}"
+        f" k_i={fixed(gains.k_i, '.4f')} k_d={fixed(gains.k_d, '.4f')}\n"
         f"evaluations: {len(history)}\n"
-        f"cost: start {history[0]:.4f} -> best {history[-1]:.4f}\n")
+        f"cost: start {fixed(history[0], '.4f')}"
+        f" -> best {fixed(history[-1], '.4f')}\n")
     (out / "tuned_gains.txt").write_text(report, encoding="utf-8")
     print(report, end="")
     return EXIT_OK

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the dataclass validator."""
+"""Exception types shared across the toolkit, the dataclass validator and
+the reports' number format."""
 
 import math
 import numbers
@@ -43,6 +44,13 @@ class NoResponseError(PitchPilotError):
 
 class UntunableStartError(PitchPilotError):
     """Every vertex of the initial tuning simplex diverged."""
+
+
+def fixed(value, spec):
+    """`value` formatted by `spec` (fixed point, as ".3f"), or in exponent
+    form once |value| >= 1e9, where fixed point runs to hundreds of
+    digits."""
+    return format(value, spec if abs(value) < 1e9 else ".4e")
 
 
 def _number(value, kind):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoResponseError, Positive, validate_fields
+from .errors import (DomainError, NoResponseError, Positive, fixed,
+                     validate_fields)
 
 # Settling-band half-width as a fraction of the step magnitude.
 BAND_FRACTION = 0.05
@@ -141,11 +142,12 @@ def devaud_report(metrics: StepMetrics) -> str:
     def line(num, text, ok):
         return f"({num}) {text}: {'pass' if ok else 'fail'}"
     return "\n".join([
-        line(1, f"rise time {metrics.t_r * 1000:.0f} ms <= 350 ms",
+        line(1, f"rise time {fixed(metrics.t_r * 1000, '.0f')} ms <= 350 ms",
              metrics.req_rise),
-        line(2, f"overshoot {metrics.pct_overshoot:.0f}% <= 20%",
+        line(2, f"overshoot {fixed(metrics.pct_overshoot, '.0f')}% <= 20%",
              metrics.req_overshoot),
-        line(3, f"steady-state error {metrics.final_error:.3f} deg <= 5% of step",
+        line(3, f"steady-state error {fixed(metrics.final_error, '.3f')} deg"
+                " <= 5% of step",
              metrics.req_accuracy),
     ])
 
