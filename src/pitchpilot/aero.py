@@ -195,8 +195,8 @@ def sizing_report(config: MissileConfig, derivs: AeroDerivatives,
     area = abs(ratio) * tail.S_ref
     margin = static_margin(config.X_AC, config.X_CG, config.l_M)
     percent = _finite_result(margin * 100, "static margin in percent")
-    calibers = static_margin_calibers(config.X_AC, config.X_CG, config.d)
     wing_area = wing_area_from_span(config.b, config.AR)
+    calibers = static_margin_calibers(config.X_AC, config.X_CG, config.d)
     cm_pass = check_control_margin(derivs.C_Ma, derivs.C_Md)
     lines = [
         "Conceptual sizing report",

@@ -344,6 +344,20 @@ class TestNoise:
         assert len(set(values[10:20])) == 1
         assert values[0] != values[10]
 
+    @pytest.mark.parametrize("hold_steps", [1, 3, 10])
+    def test_windows_draw_the_scalar_sequence(self, hold_steps):
+        params = NoiseParams(sample_time=0.001 * hold_steps)
+        src = NoiseSource(params, dt=0.001, seed=11)
+        cuts = [0, 1, 2, 5, 17, 18, 60, 101, 250]
+        windows = [src.sample(range(a, b)) for a, b in zip(cuts, cuts[1:])]
+        rng = np.random.default_rng(11)
+        expected, value = [], None
+        for k in range(cuts[-1]):
+            if k % hold_steps == 0:
+                value = rng.normal(0.0, math.sqrt(params.variance))
+            expected.append(value)
+        assert sum(windows, []) == expected
+
     def test_sample_time_guard(self):
         with pytest.raises(ConfigError):
             NoiseSource(NoiseParams(sample_time=0.0015), dt=0.001, seed=0)

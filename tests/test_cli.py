@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import tempfile
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pitchpilot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from pitchpilot.config import default_config
 from pitchpilot.engine import TRACE_COLUMNS, Trace
+from pitchpilot.errors import fixed
 
 QUIET = ["--no-noise", "--set", "loop.disturbance.amplitude=0"]
 HUGE = "9" * 401   # an integer past the float range
@@ -191,6 +194,63 @@ class TestSize:
         assert "0.0865" in text
         assert "12.50%" in text
         assert "pass" in text
+
+
+# sha256 of default outputs written by the row-by-row `repr` trace writer
+# and the reports before huge values took exponent form (numpy 2.4.6,
+# scipy 1.17.1, x86-64).
+GOLDEN = {
+    ("ab", "--seed", "0"): {
+        "trace_a.csv": "719c891a62319812b85ca320a35409c7"
+                       "fc7d97addd15f31c68d3c068b5e5789a",
+        "trace_b.csv": "475d026ac574536543235e87e514796b"
+                       "071634157d355d51ead5ecf799bcc006",
+        "ab_report.txt": "519f4f69d9d1582a6fd26af88d3c6f48"
+                         "738d41fed1dc55c5edabe0322950774d"},
+    ("simulate",): {
+        "trace.csv": "475d026ac574536543235e87e514796b"
+                     "071634157d355d51ead5ecf799bcc006",
+        "metrics.txt": "ae0886cef2ea2822126168471cea5e94"
+                       "e1538d6056e8d796bc0b927e7380825d"},
+    ("size",): {
+        "sizing.txt": "c193df244e0716d4371c8a16919c7a6f"
+                      "41bf5abbe621149baa400f29dbbb6a07"},
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_default_outputs_are_byte_identical(tmp_path, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN[argv]} == GOLDEN[argv]
+
+
+class TestHugeValuesInExponentForm:
+    @pytest.mark.parametrize("value, spec, text", [
+        (999999999.94, ".1f", "999999999.9"),
+        (-999999999.94, ".1f", "-999999999.9"),
+        (1e9, ".1f", "1.0000e+09"),
+        (-3471706646730172.5, ".0f", "-3.4717e+15"),
+        (1.9e307, ".2f", "1.9000e+307"),
+        (float("inf"), ".3f", "inf"),
+        (float("nan"), ".1f", "nan"),
+    ])
+    def test_fixed(self, value, spec, text):
+        assert fixed(value, spec) == text
+
+    def test_sizing_margins(self, tmp_path):
+        assert run_cli("size", "--out", str(tmp_path),
+                       "--set", "missile.X_AC=1e306") == EXIT_OK
+        assert "static margin = 1.9231e+307% of length" \
+               " (5.0000e+306 calibers)" in (tmp_path / "sizing.txt").read_text()
+
+    def test_step_metrics_of_a_runaway_run(self, tmp_path, capsys):
+        assert run_cli("simulate", "--out", str(tmp_path), "--no-noise",
+                       "--duration", "1",
+                       "--set", "loop.actuator.gain=5000") == EXIT_OK
+        text = (tmp_path / "metrics.txt").read_text()
+        assert "percent overshoot  = 3.4717e+15 %" in text
+        assert not re.search(r"\d{10}", text)
 
 
 class TestSweepAndTune:

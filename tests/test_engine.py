@@ -1,9 +1,15 @@
+import math
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pitchpilot import engine
 from pitchpilot.blocks import (ActuatorParams, CompensatorParams,
                                DisturbanceParams, KalmanParams, NoiseParams,
                                PidGains, PitchPlantParams)
@@ -237,3 +243,66 @@ class TestTraceCsv:
         back = Trace.from_csv(path)
         assert np.array_equal(back.omega, trace.omega)
         assert np.array_equal(back.delta, trace.delta)
+
+
+def _repr_csv(columns):
+    """The trace CSV written row by row as `repr(float(value))`."""
+    lines = [",".join(TRACE_COLUMNS)]
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _written(columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        Trace(*columns).to_csv(path)
+        return path.read_bytes()
+
+
+# Where the encoder's notation leaves `repr`'s, or comes closest to it:
+# signed zeros, subnormals, non-finite values and both sides of 1e-4 and
+# 1e16.
+_EDGES = [s * v for v in (0.0, 5e-324, 2.2250738585072014e-308, math.inf,
+                          math.nextafter(1e-4, 0.0), 1e-4,
+                          math.nextafter(1e-4, 1.0), math.nextafter(1e16, 0.0),
+                          1e16, math.nextafter(1e16, math.inf),
+                          1.7976931348623157e308)
+          for s in (1.0, -1.0)] + [math.nan]
+
+
+class TestTraceCsvWriter:
+    """`Trace.to_csv` writes each value as `repr(float(value))`."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(rows=st.lists(st.lists(st.floats() | st.sampled_from(_EDGES),
+                                  min_size=11, max_size=11), max_size=30),
+           block=st.integers(1, 8))
+    def test_each_line_is_the_repr_of_its_row(self, rows, block):
+        columns = np.array(rows, dtype=float).reshape(-1, 11).T
+        with mock.patch.object(engine, "_CSV_BLOCK", block):
+            assert _written(columns) == _repr_csv(columns)
+
+    @pytest.mark.parametrize("n", [0, 1, engine._CSV_BLOCK - 1,
+                                   engine._CSV_BLOCK, engine._CSV_BLOCK + 1,
+                                   2 * engine._CSV_BLOCK])
+    def test_lengths_at_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, 11)) * 10.0 ** rng.uniform(-6, 18,
+                                                                  (n, 11))
+        rows.flat[::97] = np.resize(_EDGES, rows.flat[::97].size)
+        columns = rows.T
+        assert _written(columns) == _repr_csv(columns)
+
+    @pytest.mark.parametrize("kinds", [(np.int64,) * 11, (np.float32,) * 11,
+                                       (np.int64, np.float32, np.int32,
+                                        np.float64)],
+                             ids=["int64", "float32", "mixed"])
+    def test_columns_other_than_float64(self, kinds):
+        n = 700
+        ints = np.arange(n, dtype=np.int64) * (2**53 + 1) - 2**62
+        thirds = np.linspace(-3.0, 3.0, n) / 7.0
+        columns = [(ints if np.dtype(kind).kind == "i" else thirds
+                    ).astype(kind) for kind in kinds]
+        columns += [np.full(n, 0.1)] * (11 - len(columns))
+        assert _written(columns) == _repr_csv(columns)
