@@ -114,7 +114,7 @@ class Trace:
         cols = [np.asarray(getattr(self, name), dtype=float)
                 for name in TRACE_COLUMNS]
         with open(path, "wb") as fh:
-            fh.write(",".join(TRACE_COLUMNS).encode() + b"\n")
+            fh.write(_CSV_HEADER + b"\n")
             for k in range(0, len(self), _CSV_BLOCK):
                 block = np.column_stack([c[k:k + _CSV_BLOCK] for c in cols])
                 lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY
@@ -127,21 +127,87 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a trace CSV: the header line, then one row of 11 values per
+        line.
+
+        A file with the writer's header is read in blocks of about 64 KiB of
+        whole lines (`_CSV_READ`), each parsed in C by one `orjson.loads`
+        call as `[[row],[row],...]` into one (m, 11) float64 array, so the
+        peak memory stays near twice the trace.  A block takes this path
+        only if its bytes are `0-9 . , - e E` and newlines, and its rows
+        hold no integer field `-0`, which JSON reads as the integer 0.
+        Within those bytes JSON's number grammar is a subset of
+        `np.loadtxt`'s, and both round correctly, so every number reads
+        back to the same double.  If any block fails a check, fails to
+        parse or has rows of other than 11 values, the whole file is read
+        again with `np.loadtxt`, the one grammar for files the writer did
+        not produce (`+1`, `1.`, `inf`, CRLF line ends, comments).  A file
+        without rows is a ConfigError.
+        """
         try:
-            with open(path, encoding="utf-8") as fh:
-                header = fh.readline().strip().split(",")
-                if tuple(header) != TRACE_COLUMNS:
-                    raise ConfigError(f"unexpected trace header {header}")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            data = _json_rows(path)
+            if data is None:
+                with open(path, encoding="utf-8") as fh:
+                    header = fh.readline().strip().split(",")
+                    if tuple(header) != TRACE_COLUMNS:
+                        raise ConfigError(f"unexpected trace header {header}")
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+        if len(data) == 0:
+            raise ConfigError(f"cannot read trace {path}: no rows")
         if data.shape[1] != len(TRACE_COLUMNS):
             raise ConfigError("trace column count mismatch")
         return cls(*data.T)
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(Trace))
+_CSV_HEADER = ",".join(TRACE_COLUMNS).encode()
 _CSV_BLOCK = 512    # rows per encoder call in `Trace.to_csv`
+_CSV_READ = 1 << 16    # bytes per decoder call in `Trace.from_csv`
+_JSON_BYTES = b"0123456789.,-eE\n"    # the bytes a block may hold
+
+
+def _json_rows(path):
+    """The rows of a trace CSV with the writer's header as one (n, 11)
+    array, read by orjson a block of whole lines at a time (n = 0 for a
+    body of blank lines), or None if the header differs or a block is not
+    plain JSON numbers in rows of 11."""
+    with open(path, "rb") as fh:
+        if fh.readline().rstrip(b"\r\n") != _CSV_HEADER:
+            return None
+        blocks, rest = [np.empty((0, len(TRACE_COLUMNS)))], b""
+        while True:
+            chunk = fh.read(_CSV_READ)
+            text = rest + chunk
+            cut = text.rfind(b"\n") + 1 if chunk else len(text)
+            lines, rest = text[:cut].rstrip(b"\n"), text[cut:]
+            if lines:
+                block = _json_block(lines)
+                if block is None:
+                    return None
+                blocks.append(block)
+            if not chunk:
+                return np.concatenate(blocks)
+
+
+def _json_block(lines):
+    """Newline-separated CSV rows as an (m, 11) float64 array parsed by
+    orjson, or None where orjson and `np.loadtxt` could disagree."""
+    if lines.translate(None, _JSON_BYTES):    # leaves any other byte
+        return None
+    try:
+        block = np.array(orjson.loads(b"[[" + lines.replace(b"\n", b"],[")
+                                      + b"]]"), dtype=float)
+    except ValueError:    # not JSON, or ragged rows
+        return None
+    if block.shape[1] != len(TRACE_COLUMNS):
+        return None
+    # An integer field -0 read as 0 is a zero: scan only blocks with one.
+    if not block.all() and (b"-0," in lines or b"-0\n" in lines
+                            or lines.endswith(b"-0")):
+        return None
+    return block
 
 
 def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -301,19 +302,26 @@ class TestMetricsCommand:
         assert "pass" in out
 
     @pytest.mark.parametrize("case", ["missing", "directory", "ragged",
-                                      "non-numeric", "out-is-a-file"])
+                                      "non-numeric", "header-only",
+                                      "out-is-a-file"])
     def test_unusable_path_exit_code(self, tmp_path, capsys, case):
         header, row = ",".join(TRACE_COLUMNS), ",".join(["0.0"] * 11)
         contents = {"ragged": f"{header}\n{row}\n0.0,1.0\n",
                     "non-numeric": f"{header}\nabc{row[3:]}\n",
+                    "header-only": f"{header}\n",
                     "out-is-a-file": ""}
         path = tmp_path if case == "directory" else tmp_path / "trace.csv"
         if case in contents:
             path.write_text(contents[case])
         argv = (["simulate", "--duration", "0.05", "--out", str(path)]
                 if case == "out-is-a-file" else ["metrics", "--trace", str(path)])
-        assert run_cli(*argv) == EXIT_CONFIG
-        assert str(path) in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Warning" not in err
+        assert not caught
 
 
 def _leaves(doc, prefix=""):
