@@ -138,11 +138,13 @@ class Trace:
         hold no integer field `-0`, which JSON reads as the integer 0.
         Within those bytes JSON's number grammar is a subset of
         `np.loadtxt`'s, and both round correctly, so every number reads
-        back to the same double.  If any block fails a check, fails to
-        parse or has rows of other than 11 values, the whole file is read
-        again with `np.loadtxt`, the one grammar for files the writer did
-        not produce (`+1`, `1.`, `inf`, CRLF line ends, comments).  A file
-        without rows is a ConfigError.
+        back to the same double.  If a line is longer than a block, or a
+        block fails a check, fails to parse or has rows of other than 11
+        values, the whole file is read again with `np.loadtxt`, the one
+        grammar for files the writer did not produce (`+1`, `1.`, `inf`,
+        CRLF line ends, comments).  A file without rows is a ConfigError
+        naming it, raised before either parser runs when the body is
+        empty.
         """
         try:
             data = _json_rows(path)
@@ -150,14 +152,15 @@ class Trace:
                 with open(path, encoding="utf-8") as fh:
                     header = fh.readline().strip().split(",")
                     if tuple(header) != TRACE_COLUMNS:
-                        raise ConfigError(f"unexpected trace header {header}")
+                        raise ValueError(f"unexpected header {header}")
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if len(data) == 0:
+                raise ValueError("no rows")
+            if data.shape[1] != len(TRACE_COLUMNS):
+                raise ValueError(f"{data.shape[1]} columns, not"
+                                 f" {len(TRACE_COLUMNS)}")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-        if len(data) == 0:
-            raise ConfigError(f"cannot read trace {path}: no rows")
-        if data.shape[1] != len(TRACE_COLUMNS):
-            raise ConfigError("trace column count mismatch")
         return cls(*data.T)
 
 
@@ -171,8 +174,8 @@ _JSON_BYTES = b"0123456789.,-eE\n"    # the bytes a block may hold
 def _json_rows(path):
     """The rows of a trace CSV with the writer's header as one (n, 11)
     array, read by orjson a block of whole lines at a time (n = 0 for a
-    body of blank lines), or None if the header differs or a block is not
-    plain JSON numbers in rows of 11."""
+    body of blank lines), or None if the header differs, a line is longer
+    than a block or a block is not plain JSON numbers in rows of 11."""
     with open(path, "rb") as fh:
         if fh.readline().rstrip(b"\r\n") != _CSV_HEADER:
             return None
@@ -181,6 +184,8 @@ def _json_rows(path):
             chunk = fh.read(_CSV_READ)
             text = rest + chunk
             cut = text.rfind(b"\n") + 1 if chunk else len(text)
+            if chunk and not cut:    # a line longer than a block
+                return None
             lines, rest = text[:cut].rstrip(b"\n"), text[cut:]
             if lines:
                 block = _json_block(lines)

@@ -303,12 +303,15 @@ class TestMetricsCommand:
 
     @pytest.mark.parametrize("case", ["missing", "directory", "ragged",
                                       "non-numeric", "header-only",
+                                      "wrong-header", "two-columns",
                                       "out-is-a-file"])
     def test_unusable_path_exit_code(self, tmp_path, capsys, case):
         header, row = ",".join(TRACE_COLUMNS), ",".join(["0.0"] * 11)
         contents = {"ragged": f"{header}\n{row}\n0.0,1.0\n",
                     "non-numeric": f"{header}\nabc{row[3:]}\n",
                     "header-only": f"{header}\n",
+                    "wrong-header": f"t,omega\n{row}\n",
+                    "two-columns": f"{header}\n0.0,1.0\n0.0,1.0\n",
                     "out-is-a-file": ""}
         path = tmp_path if case == "directory" else tmp_path / "trace.csv"
         if case in contents:

@@ -316,7 +316,8 @@ def _read_back(data):
         path = Path(tmp) / "trace.csv"
         path.write_bytes(data)
         trace = Trace.from_csv(path)
-        return np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS])
+        return np.column_stack([getattr(trace, name)
+                                for name in TRACE_COLUMNS])
 
 
 def _loadtxt(body):
@@ -338,7 +339,7 @@ def _bits(array):
     return np.where(np.isnan(array), np.nan, array).view(np.int64)
 
 
-_HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
+_HEADER = engine._CSV_HEADER + b"\n"
 # Fields where JSON's grammar and `np.loadtxt`'s part, or come close.
 _ODD_FIELDS = ["-0", "0", "+1", "1.", ".5", "01", "1E5", "1e400", "-1e400",
                "1e-400", "-1e-400", "inf", "-inf", "nan", " 1.0", "1.0 ",
@@ -374,9 +375,10 @@ def _assert_read_like_loadtxt(body):
 
 @st.composite
 def _bodies(draw):
-    """Trace bodies of rows of plain numbers, most of 11 fields, with up to
-    two odd fields, blank or comment lines, CRLF line ends, a missing last
-    newline, a byte that is not UTF-8 and a long clean prefix mixed in."""
+    """Trace bodies of rows of plain numbers, most of 11 fields and in
+    three bodies of four below 1e16, with up to two odd fields, blank or
+    comment lines, CRLF line ends, a missing last newline, a byte that is
+    not UTF-8 and a long clean prefix mixed in."""
     width = draw(st.sampled_from([11, 11, 11, 11, 1, None]))
     plain = _plain_fields[draw(st.integers(0, 3)) // 3]
     rows = draw(st.lists(
@@ -421,6 +423,13 @@ class TestTraceCsvReader:
         body = ",".join(row) + ("" if where == "end-of-file" else "\n")
         _assert_read_like_loadtxt(
             (_LONG_BODY if where == "last-block" else b"") + body.encode())
+
+    @pytest.mark.parametrize("lines", [1, 2])
+    def test_line_longer_than_a_block(self, lines):
+        # 0.5 with more digits than a block holds, on one line or two.
+        row = ",".join(["0." + "5" * engine._CSV_READ] + ["0.5"] * 10)
+        _assert_read_like_loadtxt(_LONG_BODY + "\n".join([row] * lines)
+                                  .encode())
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)
