@@ -1,8 +1,7 @@
 """pitchpilot: deterministic missile pitch-autopilot simulation toolkit."""
 
 from .aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
-                   aspect_ratio, check_control_margin, slender_wing_cn_alpha,
-                   span_from_area, static_margin, static_margin_calibers,
+                   check_control_margin, static_margin, static_margin_calibers,
                    tail_area, tail_area_ratio, wing_area_from_span)
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, Kalman, KalmanParams, Lead,

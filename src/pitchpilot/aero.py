@@ -14,7 +14,7 @@ from .errors import (DomainError, Nonzero, Positive,
 
 @dataclass(frozen=True)
 class MissileConfig:
-    """Geometric and inertial summary of the airframe.
+    """Geometric summary of the airframe.
 
     All X_* stations are measured from the nose tip.  `b` is the full
     tip-to-tip span (the exposed-panel figure is b/2).
@@ -22,56 +22,24 @@ class MissileConfig:
 
     d: Positive = 0.2         # body diameter (m)
     l_M: Positive = 5.2       # overall length (m)
-    l_N: Positive = 1.0       # nose length (m)
-    l_B: Positive = 4.0       # body length (m)
-    l_BT: Positive = 0.2      # boattail length (m)
-    A_e: Positive = 0.015     # nozzle exit area (m²)
     b: Positive = 0.888       # full wingspan (m)
-    S_W: Positive = 0.282     # wing area (m²)
-    S_T: Positive = 0.0865    # tail area (m²)
-    S_ref: Positive = math.pi / 4 * 0.2 ** 2   # reference area (m²)
     AR: Positive = 2.75       # aspect ratio
-    C_MAC: Positive = 0.377   # mean aerodynamic chord (m)
     X_CG: float = 2.5         # centre of gravity (m from nose)
     X_AC: float = 3.15        # aerodynamic centre (m from nose)
-    X_MAC: float = 2.75       # MAC station (m from nose)
-    m: Positive = 85.0        # mass (kg)
-    J_z: Positive = 40.0      # pitch moment of inertia (kg·m²)
-    V_c: float = 250.0        # cruise speed (m/s)
-    Ma: float = 0.85          # Mach number
-    h: float = 6000.0         # altitude (m)
 
     def __post_init__(self):
         validate_fields(self)
-        expected = math.pi / 4 * (self.d * self.d)   # `**` can overflow
-        if abs(self.S_ref - expected) > 1e-9 * expected:
-            raise DomainError(
-                f"S_ref must equal (pi/4)*d^2 = {expected!r}, got {self.S_ref!r}")
-        if self.l_N + self.l_B > self.l_M + 1e-12:
-            raise DomainError("l_N + l_B must not exceed l_M")
 
 
 @dataclass(frozen=True)
 class AeroDerivatives:
-    """Aerodynamic derivatives (per radian where applicable).
+    """Aerodynamic derivatives (per radian)."""
 
-    `C_La` is the constant part of the lift-curve slope; the slope itself is
-    alpha-dependent: C_La(alpha) = C_La + 2*alpha.
-    """
-
-    C_L0: float = 0.924
-    C_D0: float = 0.603
-    C_La: float = 0.524
     C_Ma: float = -0.300
-    C_Ld: float = 0.208
     C_Md: float = 0.267
 
     def __post_init__(self):
         validate_fields(self)
-
-    @property
-    def statically_stable(self):
-        return self.C_Ma < 0
 
 
 @dataclass(frozen=True)
@@ -112,27 +80,6 @@ def wing_area_from_span(b, AR):
     if not (b > 0 and AR > 0):
         raise DomainError(f"b and AR must be > 0, got b={b}, AR={AR}")
     return _finite_result(b * b / AR, "wing area S_W")
-
-
-def span_from_area(S_W, AR):
-    """Inverse of wing_area_from_span: b = sqrt(S_W·AR)."""
-    if not (S_W > 0 and AR > 0):
-        raise DomainError(f"S_W and AR must be > 0, got S_W={S_W}, AR={AR}")
-    return math.sqrt(S_W * AR)
-
-
-def aspect_ratio(b, S_W):
-    """Aspect ratio from full span and area: AR = b²/S_W."""
-    if not (b > 0 and S_W > 0):
-        raise DomainError(f"b and S_W must be > 0, got b={b}, S_W={S_W}")
-    return b * b / S_W
-
-
-def slender_wing_cn_alpha(AR):
-    """Slender-wing normal-force slope (pi/2)·AR, per radian."""
-    if not AR > 0:
-        raise DomainError(f"AR must be > 0, got {AR}")
-    return math.pi / 2 * AR
 
 
 def tail_area_ratio(inputs: TailSizingInputs):

@@ -29,6 +29,7 @@ recursions, the noise draws and the disturbance sine (`disturbance_at`).
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -144,7 +145,8 @@ class Trace:
         grammar for files the writer did not produce (`+1`, `1.`, `inf`,
         CRLF line ends, comments).  A file without rows is a ConfigError
         naming it, raised before either parser runs when the body is
-        empty.
+        empty, and without numpy's empty-input warning when it holds only
+        comments.
         """
         try:
             data = _json_rows(path)
@@ -153,7 +155,11 @@ class Trace:
                     header = fh.readline().strip().split(",")
                     if tuple(header) != TRACE_COLUMNS:
                         raise ValueError(f"unexpected header {header}")
-                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                    with warnings.catch_warnings():
+                        # A body of comments is the "no rows" error below.
+                        warnings.filterwarnings(
+                            "ignore", "loadtxt: input contained no data")
+                        data = np.loadtxt(fh, delimiter=",", ndmin=2)
             if len(data) == 0:
                 raise ValueError("no rows")
             if data.shape[1] != len(TRACE_COLUMNS):

@@ -38,7 +38,7 @@ class StepMetrics:
     `t_r` is the 10%->90% rise; `t_r_onset` is the time from the first
     sample to the first crossing of the target, inf if it is never crossed.
     `t_s` is None when the response never settles.  `pct_overshoot` is
-    normalized by |target|; `pct_overshoot_step` by the step magnitude.
+    normalized by |target|.
     Verdicts: (1) t_r <= 350 ms, (2) %M_p <= 20%, (3) final error <= 5% of
     the step magnitude.
     """
@@ -49,7 +49,6 @@ class StepMetrics:
     t_s: float | None
     m_p: float
     pct_overshoot: float
-    pct_overshoot_step: float
     final_error: float
     req_rise: bool
     req_overshoot: bool
@@ -119,7 +118,6 @@ def step_metrics(trace, start, target, band: BandSpec) -> StepMetrics:
         t_s = float(t[j] + frac * (t[j + 1] - t[j]))
 
     pct = 100.0 * m_p / abs(target) if target != 0 else float("nan")
-    pct_step = 100.0 * m_p / abs(span)
     final_error = abs(float(y[-1]) - target)
 
     return StepMetrics(
@@ -129,7 +127,6 @@ def step_metrics(trace, start, target, band: BandSpec) -> StepMetrics:
         t_s=t_s,
         m_p=m_p,
         pct_overshoot=pct,
-        pct_overshoot_step=pct_step,
         final_error=final_error,
         req_rise=t_r <= 0.350,
         req_overshoot=pct <= 20.0,

@@ -16,6 +16,10 @@ from .errors import (ConfigError, DivergedError, NoResponseError,
                      validate_fields)
 from .metrics import band_for_step, step_metrics
 
+# Nelder-Mead stops before its budget once the simplex spans less than X_TOL
+# in every coordinate and its scores differ by less than F_TOL.
+X_TOL, F_TOL = 1e-6, 1e-9
+
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -87,7 +91,7 @@ class _BudgetSpent(Exception):
     """Raised by `nelder_mead`'s probe once the evaluation budget is spent."""
 
 
-def nelder_mead(f, x0, steps, max_evals, x_tol=1e-6, f_tol=1e-9):
+def nelder_mead(f, x0, steps, max_evals):
     """Minimal Nelder-Mead with a hard evaluation budget.
 
     Returns (best_x, best_f, history) where history is the best-so-far cost
@@ -117,8 +121,8 @@ def nelder_mead(f, x0, steps, max_evals, x_tol=1e-6, f_tol=1e-9):
         while True:
             order = np.argsort(scores)
             simplex, scores = simplex[order], scores[order]
-            if (np.max(np.abs(simplex[1:] - simplex[0])) < x_tol
-                    and np.max(scores) - np.min(scores) < f_tol):
+            if (np.max(np.abs(simplex[1:] - simplex[0])) < X_TOL
+                    and np.max(scores) - np.min(scores) < F_TOL):
                 break
             centroid = simplex[:-1].mean(axis=0)
             xr = centroid + alpha * (centroid - simplex[-1])

@@ -1,18 +1,12 @@
-import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, strategies as st
 
 from pitchpilot.aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
-                             aspect_ratio, check_control_margin,
-                             slender_wing_cn_alpha, span_from_area,
+                             check_control_margin, sizing_report,
                              static_margin, static_margin_calibers, tail_area,
                              tail_area_ratio, wing_area_from_span)
 from pitchpilot.errors import DomainError, SingularConfigurationError
-
-positive = st.floats(min_value=1e-3, max_value=1e3,
-                     allow_nan=False, allow_infinity=False)
 
 
 class TestWingArea:
@@ -34,24 +28,6 @@ class TestWingArea:
     def test_rejects_area_past_the_float_range(self):
         with pytest.raises(DomainError, match="S_W = inf"):
             wing_area_from_span(1e200, 2.75)
-
-    @given(b=positive, AR=positive)
-    def test_inverse_composition(self, b, AR):
-        area = wing_area_from_span(b, AR)
-        assert span_from_area(area, AR) == pytest.approx(b, rel=1e-12)
-        assert aspect_ratio(b, area) == pytest.approx(AR, rel=1e-12)
-
-
-class TestSlenderWing:
-    def test_published_ar(self):
-        assert slender_wing_cn_alpha(2.75) == pytest.approx(4.320, abs=1e-3)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DomainError):
-            slender_wing_cn_alpha(0)
-
-    def test_unit_output(self):
-        assert slender_wing_cn_alpha(2 / math.pi) == pytest.approx(1.0)
 
 
 class TestTailSizing:
@@ -149,18 +125,29 @@ class TestControlMargin:
 
 class TestMissileConfig:
     def test_defaults_valid(self):
-        cfg = MissileConfig()
-        assert cfg.S_ref == pytest.approx(math.pi / 4 * cfg.d ** 2, rel=1e-12)
-        assert cfg.l_N + cfg.l_B <= cfg.l_M
-
-    def test_reference_area_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            MissileConfig(S_ref=0.04)
+        MissileConfig()
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(DomainError):
             MissileConfig(l_M=-1.0)
 
-    def test_stability_flag(self):
-        assert AeroDerivatives().statically_stable
-        assert not AeroDerivatives(C_Ma=0.1).statically_stable
+
+class _Reads:
+    """A stand-in for `obj` that records the attribute names read from it."""
+
+    def __init__(self, obj):
+        self.obj, self.names = obj, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.obj, name)
+
+
+def test_sizing_report_reads_every_field():
+    # A field the report never reads is a configuration key that changes
+    # no output.
+    sections = [_Reads(cls()) for cls in (MissileConfig, AeroDerivatives,
+                                          TailSizingInputs)]
+    sizing_report(*sections)
+    for section in sections:
+        assert section.names == {f.name for f in fields(section.obj)}

@@ -65,11 +65,18 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
-    def test_unknown_key_exit_code(self, tmp_path):
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        # `missile.m` is a paper value the airframe section no longer holds.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"loop": {"typo": 1}}))
-        assert run_cli("simulate", "--config", str(cfg), "--out",
-                       str(tmp_path)) == EXIT_CONFIG
+        for command, doc, key in [("simulate", {"loop": {"typo": 1}},
+                                   "loop.typo"),
+                                  ("size", {"missile": {"m": 85}},
+                                   "missile.m")]:
+            cfg.write_text(json.dumps(doc))
+            assert run_cli(command, "--config", str(cfg), "--out",
+                           str(tmp_path)) == EXIT_CONFIG
+            assert (f"unknown configuration key '{key}'"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("override", ["loop.pid.k_p=abc",
                                           "loop.actuator.wn=abc",
@@ -85,7 +92,7 @@ class TestSimulate:
                                           "loop.pid.k_p=true",
                                           "loop.disturbance.amplitude=true",
                                           "scenario.duration=true",
-                                          "missile.m=true",
+                                          "missile.b=true",
                                           "loop.disturbance.frequency=1e400",
                                           'loop.actuator.gain="7"',
                                           *(pytest.param(f"{key}={HUGE}",
@@ -216,6 +223,12 @@ GOLDEN = {
     ("size",): {
         "sizing.txt": "c193df244e0716d4371c8a16919c7a6f"
                       "41bf5abbe621149baa400f29dbbb6a07"},
+    ("sweep",): {
+        "sweep.csv": "bedf8387b498971020e57f186c41a967"
+                     "dac9940804e59e231f64edd676ce1730"},
+    ("tune", "--max-evals", "16"): {
+        "tuned_gains.txt": "d0573850eb4d1dc0465101bd5f1018ad"
+                           "dc6424867f782608c2b42a9d4e9c1764"},
 }
 
 
@@ -303,13 +316,14 @@ class TestMetricsCommand:
 
     @pytest.mark.parametrize("case", ["missing", "directory", "ragged",
                                       "non-numeric", "header-only",
-                                      "wrong-header", "two-columns",
-                                      "out-is-a-file"])
+                                      "comment-only", "wrong-header",
+                                      "two-columns", "out-is-a-file"])
     def test_unusable_path_exit_code(self, tmp_path, capsys, case):
         header, row = ",".join(TRACE_COLUMNS), ",".join(["0.0"] * 11)
         contents = {"ragged": f"{header}\n{row}\n0.0,1.0\n",
                     "non-numeric": f"{header}\nabc{row[3:]}\n",
                     "header-only": f"{header}\n",
+                    "comment-only": f"{header}\n# only a comment\n",
                     "wrong-header": f"t,omega\n{row}\n",
                     "two-columns": f"{header}\n0.0,1.0\n0.0,1.0\n",
                     "out-is-a-file": ""}

@@ -130,8 +130,7 @@ class TestStepMetrics:
 class TestDevaudReport:
     def make(self, t_r, pct, final):
         return StepMetrics(t_r=t_r, t_r_onset=2 * t_r, t_p=t_r + 0.1,
-                           t_s=1.0, m_p=pct / 100,
-                           pct_overshoot=pct, pct_overshoot_step=pct / 9,
+                           t_s=1.0, m_p=pct / 100, pct_overshoot=pct,
                            final_error=final, req_rise=t_r <= 0.350,
                            req_overshoot=pct <= 20.0,
                            req_accuracy=final <= 0.45)
