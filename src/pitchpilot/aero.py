@@ -8,12 +8,12 @@ radian unless noted.
 import math
 from dataclasses import dataclass
 
-from .errors import (DomainError, Nonzero, Positive,
-                     SingularConfigurationError, fixed, validate_fields)
+from .errors import (DomainError, Nonzero, Params, Positive,
+                     SingularConfigurationError, fixed)
 
 
 @dataclass(frozen=True)
-class MissileConfig:
+class MissileConfig(Params):
     """Geometric summary of the airframe.
 
     All X_* stations are measured from the nose tip.  `b` is the full
@@ -27,23 +27,17 @@ class MissileConfig:
     X_CG: float = 2.5         # centre of gravity (m from nose)
     X_AC: float = 3.15        # aerodynamic centre (m from nose)
 
-    def __post_init__(self):
-        validate_fields(self)
-
 
 @dataclass(frozen=True)
-class AeroDerivatives:
+class AeroDerivatives(Params):
     """Aerodynamic derivatives (per radian)."""
 
     C_Ma: float = -0.300
     C_Md: float = 0.267
 
-    def __post_init__(self):
-        validate_fields(self)
-
 
 @dataclass(frozen=True)
-class TailSizingInputs:
+class TailSizingInputs(Params):
     """Inputs to the tail-area ratio formula.
 
     `d` is the normalizing length applied to every moment arm.  The default
@@ -63,9 +57,6 @@ class TailSizingInputs:
     C_Na_body: float = 0.0
     C_Na_wing: float = 0.262
     C_Na_tail: Nonzero = 0.262
-
-    def __post_init__(self):
-        validate_fields(self)
 
 
 def _finite_result(value, what):

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (ConfigError, DomainError, NonNegative, Nonzero, Positive,
-                     validate_fields)
+from .errors import (ConfigError, DomainError, NonNegative, Nonzero, Params,
+                     Positive)
 
 
 @dataclass(frozen=True)
-class PidGains:
+class PidGains(Params):
     """Parallel PID gains plus first-order derivative-filter time constant."""
 
     k_p: float = 44.0
@@ -42,24 +42,18 @@ class PidGains:
     k_d: float = 24.0
     tau_f: NonNegative = 0.055   # derivative filter time constant (s)
 
-    def __post_init__(self):
-        validate_fields(self)
-
 
 @dataclass(frozen=True)
-class CompensatorParams:
+class CompensatorParams(Params):
     """Phase-lead network (a·T·s + 1)/(T·s + 1)."""
 
     a: Positive = 11.0
     T: Positive = 0.01
     enabled: bool = True
 
-    def __post_init__(self):
-        validate_fields(self)
-
 
 @dataclass(frozen=True)
-class ActuatorParams:
+class ActuatorParams(Params):
     """2nd-order servo n·wn²/(s² + 2·mu·wn·s + wn²) with transport delay tau."""
 
     gain: Nonzero = 7.0
@@ -67,35 +61,26 @@ class ActuatorParams:
     mu: Positive = 0.5
     tau: NonNegative = 0.1
 
-    def __post_init__(self):
-        validate_fields(self)
-
 
 @dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(Params):
     """Zero-order-hold white measurement noise."""
 
     enabled: bool = True
     variance: NonNegative = 0.1     # deg²
     sample_time: Positive = 0.01   # hold interval (s)
 
-    def __post_init__(self):
-        validate_fields(self)
-
 
 @dataclass(frozen=True)
-class DisturbanceParams:
+class DisturbanceParams(Params):
     """Sinusoidal disturbance torque amplitude·sin(frequency·t)."""
 
     amplitude: NonNegative = 1.0
     frequency: NonNegative = 1.0   # rad/s
 
-    def __post_init__(self):
-        validate_fields(self)
-
 
 @dataclass(frozen=True)
-class KalmanParams:
+class KalmanParams(Params):
     """2-state pitch/pitch-rate filter tuning."""
 
     enabled: bool = True
@@ -103,19 +88,13 @@ class KalmanParams:
     q_rate: NonNegative = 1e-2    # process noise intensity on pitch rate
     r: Positive = 0.1             # measurement variance (deg²)
 
-    def __post_init__(self):
-        validate_fields(self)
-
 
 @dataclass(frozen=True)
-class PitchPlantParams:
+class PitchPlantParams(Params):
     """Rotational plant: J_z·w_ddot = delta - lam·w_dot - d."""
 
     J_z: Positive = 40.0     # moment of inertia (loop units)
     lam: NonNegative = 6.0   # aerodynamic resistance (torque per unit rate)
-
-    def __post_init__(self):
-        validate_fields(self)
 
     def model(self):
         """(A, B) of x' = A·x + B·u on x = [pitch, rate], u = net torque."""

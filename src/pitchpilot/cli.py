@@ -50,17 +50,22 @@ print("wrote", {png_name!r})
 """
 
 
-def _add_common(parser):
+def _add_common(parser, timed=False, noisy=False):
+    """--config, --out and --set; with `timed` also the scenario's
+    --duration and --dt, with `noisy` also --seed and --no-noise."""
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, help="override scenario seed")
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="dotted-path config override (repeatable)")
-    parser.add_argument("--no-noise", action="store_true",
-                        help="disable measurement noise")
-    parser.add_argument("--duration", type=float, help="override duration (s)")
-    parser.add_argument("--dt", type=float, help="override step size (s)")
+    if timed:
+        parser.add_argument("--duration", type=float,
+                            help="override duration (s)")
+        parser.add_argument("--dt", type=float, help="override step size (s)")
+    if noisy:
+        parser.add_argument("--seed", type=int, help="override scenario seed")
+        parser.add_argument("--no-noise", action="store_true",
+                            help="disable measurement noise")
 
 
 def _load(args):
@@ -70,13 +75,10 @@ def _load(args):
             raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
         key, _, raw = item.partition("=")
         cfgmod.apply_override(cfg, key.strip(), cfgmod.parse_value(raw.strip()))
-    if args.seed is not None:
-        cfg["scenario"]["seed"] = args.seed
-    if args.duration is not None:
-        cfg["scenario"]["duration"] = args.duration
-    if args.dt is not None:
-        cfg["scenario"]["dt"] = args.dt
-    if args.no_noise:
+    for key in ("seed", "duration", "dt"):
+        if getattr(args, key, None) is not None:
+            cfg["scenario"][key] = getattr(args, key)
+    if getattr(args, "no_noise", False):
         cfg["loop"]["noise"]["enabled"] = False
     return cfg
 
@@ -246,19 +248,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one scenario")
-    _add_common(p)
+    _add_common(p, timed=True, noisy=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ab", help="run the compensator A/B comparison")
-    _add_common(p)
+    _add_common(p, timed=True, noisy=True)
     p.set_defaults(func=cmd_ab)
 
     p = sub.add_parser("size", help="conceptual sizing report")
     _add_common(p)
     p.set_defaults(func=cmd_size)
 
+    # Sweeps and tuning run noise-free, so they take no noise options.
     p = sub.add_parser("sweep", help="sweep one loop parameter")
-    _add_common(p)
+    _add_common(p, timed=True)
     p.add_argument("--param", default="actuator.gain",
                    help="path below the loop section (default actuator.gain)")
     p.add_argument("--values", default="1:15",
@@ -266,7 +269,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tune", help="tune PID gains")
-    _add_common(p)
+    _add_common(p, timed=True)
     p.add_argument("--max-evals", type=int, default=150)
     p.set_defaults(func=cmd_tune)
 

@@ -28,6 +28,7 @@ reads its gains from a `blocks.GainSchedule`.  Per window stay the block
 recursions, the noise draws and the disturbance sine (`disturbance_at`).
 """
 
+import io
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -40,11 +41,11 @@ from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      NoiseParams, NoiseSource, Pid, PidGains,
                      PitchPlantParams, cache_last, disturbance_at,
                      finite_prefix, plant_step)
-from .errors import ConfigError, DivergedError, Positive, validate_fields
+from .errors import ConfigError, DivergedError, Params, Positive
 
 
 @dataclass(frozen=True)
-class LoopConfig:
+class LoopConfig(Params):
     """Every block parameter of the autopilot loop."""
 
     pid: PidGains = field(default_factory=PidGains)
@@ -55,12 +56,9 @@ class LoopConfig:
     noise: NoiseParams = field(default_factory=NoiseParams)
     kalman: KalmanParams = field(default_factory=KalmanParams)
 
-    def __post_init__(self):
-        validate_fields(self)
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Params):
     """Complete input to one run: boundary conditions, step size, seed."""
 
     initial: float = 10.0    # starting pitch (deg)
@@ -70,7 +68,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        validate_fields(self)
+        super().__post_init__()
         # The first errors are about command - initial.  If that overflows,
         # the run cannot start: a configuration error, not a divergence.
         if not math.isfinite(float(self.command) - float(self.initial)):
@@ -131,35 +129,38 @@ class Trace:
         """Read a trace CSV: the header line, then one row of 11 values per
         line.
 
-        A file with the writer's header is read in blocks of about 64 KiB of
-        whole lines (`_CSV_READ`), each parsed in C by one `orjson.loads`
-        call as `[[row],[row],...]` into one (m, 11) float64 array, so the
-        peak memory stays near twice the trace.  A block takes this path
-        only if its bytes are `0-9 . , - e E` and newlines, and its rows
-        hold no integer field `-0`, which JSON reads as the integer 0.
-        Within those bytes JSON's number grammar is a subset of
-        `np.loadtxt`'s, and both round correctly, so every number reads
-        back to the same double.  If a line is longer than a block, or a
-        block fails a check, fails to parse or has rows of other than 11
-        values, the whole file is read again with `np.loadtxt`, the one
-        grammar for files the writer did not produce (`+1`, `1.`, `inf`,
-        CRLF line ends, comments).  A file without rows is a ConfigError
-        naming it, raised before either parser runs when the body is
-        empty, and without numpy's empty-input warning when it holds only
-        comments.
+        The file is opened once and its header checked once.  The body is
+        read in blocks of about 64 KiB of whole lines (`_CSV_READ`; a line
+        longer than a block carries into the next read), each parsed in C
+        by one `orjson.loads` call as `[[row],[row],...]` into one (m, 11)
+        float64 array, so the peak memory stays near twice the trace.  A
+        block takes this path only if its bytes are `0-9 . , - e E` and
+        newlines, and its rows hold no integer field `-0`, which JSON reads
+        as the integer 0.  Within those bytes JSON's number grammar is a
+        subset of `np.loadtxt`'s, and both round correctly, so every number
+        reads back to the same double.  If a block fails a check, fails to
+        parse or has rows of other than 11 values, the whole body is read
+        again as UTF-8 text with `np.loadtxt`, the one grammar for files
+        the writer did not produce (`+1`, `1.`, `inf`, CRLF line ends,
+        comments).  A file without rows is a ConfigError naming it, raised
+        before either parser runs when the body is empty, and without
+        numpy's empty-input warning when it holds only comments.
         """
         try:
-            data = _json_rows(path)
-            if data is None:
-                with open(path, encoding="utf-8") as fh:
-                    header = fh.readline().strip().split(",")
-                    if tuple(header) != TRACE_COLUMNS:
-                        raise ValueError(f"unexpected header {header}")
-                    with warnings.catch_warnings():
+            with open(path, "rb") as fh:
+                if fh.readline().strip() != _CSV_HEADER:
+                    raise ValueError("first line is not the header"
+                                     f" {_CSV_HEADER.decode()}")
+                body = fh.tell()
+                data = _json_rows(fh)
+                if data is None:
+                    fh.seek(body)
+                    with (io.TextIOWrapper(fh, "utf-8") as text,
+                          warnings.catch_warnings()):
                         # A body of comments is the "no rows" error below.
                         warnings.filterwarnings(
                             "ignore", "loadtxt: input contained no data")
-                        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                        data = np.loadtxt(text, delimiter=",", ndmin=2)
             if len(data) == 0:
                 raise ValueError("no rows")
             if data.shape[1] != len(TRACE_COLUMNS):
@@ -177,29 +178,23 @@ _CSV_READ = 1 << 16    # bytes per decoder call in `Trace.from_csv`
 _JSON_BYTES = b"0123456789.,-eE\n"    # the bytes a block may hold
 
 
-def _json_rows(path):
-    """The rows of a trace CSV with the writer's header as one (n, 11)
-    array, read by orjson a block of whole lines at a time (n = 0 for a
-    body of blank lines), or None if the header differs, a line is longer
-    than a block or a block is not plain JSON numbers in rows of 11."""
-    with open(path, "rb") as fh:
-        if fh.readline().rstrip(b"\r\n") != _CSV_HEADER:
-            return None
-        blocks, rest = [np.empty((0, len(TRACE_COLUMNS)))], b""
-        while True:
-            chunk = fh.read(_CSV_READ)
-            text = rest + chunk
-            cut = text.rfind(b"\n") + 1 if chunk else len(text)
-            if chunk and not cut:    # a line longer than a block
+def _json_rows(fh):
+    """The rows left in the binary file `fh` as one (n, 11) array, read by
+    orjson a block of whole lines at a time (n = 0 for blank lines), or
+    None if a block is not plain JSON numbers in rows of 11."""
+    blocks, rest = [np.empty((0, len(TRACE_COLUMNS)))], b""
+    while True:
+        chunk = fh.read(_CSV_READ)
+        text = rest + chunk
+        cut = text.rfind(b"\n") + 1 if chunk else len(text)
+        lines, rest = text[:cut].rstrip(b"\n"), text[cut:]
+        if lines:
+            block = _json_block(lines)
+            if block is None:
                 return None
-            lines, rest = text[:cut].rstrip(b"\n"), text[cut:]
-            if lines:
-                block = _json_block(lines)
-                if block is None:
-                    return None
-                blocks.append(block)
-            if not chunk:
-                return np.concatenate(blocks)
+            blocks.append(block)
+        if not chunk:
+            return np.concatenate(blocks)
 
 
 def _json_block(lines):
@@ -266,8 +261,6 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
         bad = min(finite_prefix(x) for x in (omegas, errors, u_pid, delta))
         if bad < len(errors):
             raise DivergedError(k0 + bad)
-        # Row-major (step, column) storage keeps each step's values
-        # adjacent for the row-by-row CSV writer.
         for col, values in enumerate((omegas, rates, meas, filt, errors,
                                       u_pid, u_lead, delta, ds), start=2):
             rec[k0:k1, col] = values

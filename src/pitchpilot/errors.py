@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, the dataclass validator and
-the reports' number format."""
+"""Exception types shared across the toolkit, the validating base of the
+parameter dataclasses and the reports' number format."""
 
 import math
 import numbers
@@ -70,7 +70,7 @@ def _count(value):
 
 
 # Reals restricted to a range: annotate a field with one of these and
-# `validate_fields` checks the range.
+# every `Params` checks the range.
 Positive = Annotated[float, "> 0"]
 NonNegative = Annotated[float, ">= 0"]
 Nonzero = Annotated[float, "!= 0"]
@@ -86,17 +86,19 @@ _KINDS = {
 }
 
 
-def validate_fields(obj):
-    """DomainError unless each field of the dataclass `obj` fits its
-    annotation as `_KINDS` says.  A dataclass annotation takes an instance of
-    that class; any other annotation is not checked.  Every parameter
-    dataclass calls this first in `__post_init__`."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        what, fits = _KINDS.get(f.type, ("", lambda v: True))
-        if is_dataclass(f.type):
-            what, fits = (f"a {f.type.__name__}",
-                          lambda v: isinstance(v, f.type))
-        if not fits(value):
-            raise DomainError(f"{type(obj).__name__}.{f.name} must be {what},"
-                              f" got {value!r}")
+class Params:
+    """Base of every parameter dataclass: construction raises DomainError
+    unless each field fits its annotation as `_KINDS` says.  A dataclass
+    annotation takes an instance of that class; any other annotation is not
+    checked.  A subclass with checks of its own calls this hook first."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            what, fits = _KINDS.get(f.type, ("", lambda v: True))
+            if is_dataclass(f.type):
+                what, fits = (f"a {f.type.__name__}",
+                              lambda v: isinstance(v, f.type))
+            if not fits(value):
+                raise DomainError(f"{type(self).__name__}.{f.name} must be"
+                                  f" {what}, got {value!r}")

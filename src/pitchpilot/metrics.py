@@ -13,22 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NoResponseError, Positive, fixed,
-                     validate_fields)
+from .errors import DomainError, NoResponseError, Params, Positive, fixed
 
 # Settling-band half-width as a fraction of the step magnitude.
 BAND_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
-class BandSpec:
+class BandSpec(Params):
     """Settling band: target +/- half_width, both in degrees."""
 
     target: float
     half_width: Positive
-
-    def __post_init__(self):
-        validate_fields(self)
 
 
 @dataclass(frozen=True)
@@ -72,10 +68,14 @@ def _crossing_time(t, y, level, rising):
     idx = np.nonzero(past)[0]
     if len(idx) == 0:
         return None
-    i = idx[0]
-    y0, y1 = y[i - 1], y[i]
+    return _interpolate(t, y, idx[0] - 1, level)
+
+
+def _interpolate(t, y, i, level):
+    """Time at which y reaches `level`, linear between samples i and i+1."""
+    y0, y1 = y[i], y[i + 1]
     frac = (level - y0) / (y1 - y0) if y1 != y0 else 1.0
-    return t[i - 1] + frac * (t[i] - t[i - 1])
+    return t[i] + frac * (t[i + 1] - t[i])
 
 
 def step_metrics(trace, start, target, band: BandSpec) -> StepMetrics:
@@ -113,9 +113,7 @@ def step_metrics(trace, start, target, band: BandSpec) -> StepMetrics:
     else:
         j = outside[-1]
         edge = band.target + band.half_width * np.sign(y[j] - band.target)
-        y0, y1 = y[j], y[j + 1]
-        frac = (edge - y0) / (y1 - y0) if y1 != y0 else 1.0
-        t_s = float(t[j] + frac * (t[j + 1] - t[j]))
+        t_s = float(_interpolate(t, y, j, edge))
 
     pct = 100.0 * m_p / abs(target) if target != 0 else float("nan")
     final_error = abs(float(y[-1]) - target)

@@ -12,8 +12,7 @@ import numpy as np
 from . import config as cfgmod
 from .engine import LoopConfig, Scenario, run_scenario
 from .errors import (ConfigError, DivergedError, NoResponseError,
-                     NonNegative, Positive, UntunableStartError,
-                     validate_fields)
+                     NonNegative, Params, Positive, UntunableStartError)
 from .metrics import band_for_step, step_metrics
 
 # Nelder-Mead stops before its budget once the simplex spans less than X_TOL
@@ -22,7 +21,7 @@ X_TOL, F_TOL = 1e-6, 1e-9
 
 
 @dataclass(frozen=True)
-class CostSpec:
+class CostSpec(Params):
     """Weighted step-response cost: w_ts·t_s + w_mp·M_p + w_tr·t_r + w_iae·IAE."""
 
     w_ts: NonNegative = 1.0
@@ -31,16 +30,9 @@ class CostSpec:
     w_iae: NonNegative = 0.01
     divergence_penalty: Positive = 1e6
 
-    def __post_init__(self):
-        validate_fields(self)
-
-    @property
-    def is_zero(self):
-        return self.w_ts == self.w_mp == self.w_tr == self.w_iae == 0
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Params):
     """One-parameter study over an ordered list of values."""
 
     # Document path below the `loop` section, e.g. "actuator.gain": each
@@ -52,7 +44,7 @@ class SweepSpec:
     cost: CostSpec = field(default_factory=CostSpec)
 
     def __post_init__(self):
-        validate_fields(self)
+        super().__post_init__()
         if len(self.values) == 0:
             raise ConfigError("sweep needs a non-empty value list")
 
@@ -152,17 +144,15 @@ def nelder_mead(f, x0, steps, max_evals):
 
 
 def tune_pid(config: LoopConfig, scenario: Scenario, cost: CostSpec,
-             max_evals=150):
-    """Nelder-Mead over (k_p, k_i, k_d) starting from the config's gains.
+             max_evals):
+    """Nelder-Mead over (k_p, k_i, k_d) starting from the config's gains,
+    with at most `max_evals` evaluations.
 
-    Returns (PidGains, history).  Never returns gains worse than the start;
-    a zero-weight cost returns the start immediately.
+    Returns (PidGains, history).  Never returns gains worse than the start.
     """
     if max_evals < 1:
         raise ConfigError("max_evals must be >= 1")
     start = np.array([config.pid.k_p, config.pid.k_i, config.pid.k_d])
-    if cost.is_zero:
-        return config.pid, [0.0]
 
     def objective(gains):
         pid = replace(config.pid, k_p=float(gains[0]), k_i=float(gains[1]),

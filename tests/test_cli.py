@@ -13,7 +13,9 @@ from pitchpilot.config import default_config
 from pitchpilot.engine import TRACE_COLUMNS, Trace
 from pitchpilot.errors import fixed
 
-QUIET = ["--no-noise", "--set", "loop.disturbance.amplitude=0"]
+# `sweep` and `tune` run noise-free and take no --no-noise.
+NO_DISTURBANCE = ["--set", "loop.disturbance.amplitude=0"]
+QUIET = ["--no-noise", *NO_DISTURBANCE]
 HUGE = "9" * 401   # an integer past the float range
 # Overrides that build valid sections but drive a sizing result past the
 # float range, and the result the error names.
@@ -204,6 +206,17 @@ class TestSize:
         assert "pass" in text
 
 
+@pytest.mark.parametrize("argv", ["size --dt 0.003", "size --duration 1",
+                                  "size --seed 5", "size --no-noise",
+                                  "sweep --seed 5", "sweep --no-noise",
+                                  "tune --seed 5", "tune --no-noise"])
+def test_option_the_command_would_ignore_is_a_usage_error(tmp_path, argv):
+    # `size` runs no loop; `sweep` and `tune` run it noise-free.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv.split(), "--out", str(tmp_path))
+    assert exc.value.code == EXIT_CONFIG
+
+
 # sha256 of default outputs written by the row-by-row `repr` trace writer
 # and the reports before huge values took exponent form (numpy 2.4.6,
 # scipy 1.17.1, x86-64).
@@ -270,24 +283,24 @@ class TestHugeValuesInExponentForm:
 class TestSweepAndTune:
     def test_sweep_winner_reported(self, tmp_path, capsys):
         code = run_cli("sweep", "--out", str(tmp_path), "--values", "5,6,7",
-                       "--duration", "4", *QUIET)
+                       "--duration", "4", *NO_DISTURBANCE)
         assert code == EXIT_OK
         assert (tmp_path / "sweep.csv").read_text().count("\n") == 4
         assert "best actuator.gain" in capsys.readouterr().out
 
     def test_empty_values_usage_error(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path), "--values", ",",
-                       *QUIET) == EXIT_CONFIG
+                       *NO_DISTURBANCE) == EXIT_CONFIG
 
     @pytest.mark.parametrize("values", ["0.5:2", "a", "nan,inf"],
                              ids=["float-range", "non-number", "non-finite"])
     def test_malformed_values_usage_error(self, tmp_path, values):
         assert run_cli("sweep", "--out", str(tmp_path), "--values", values,
-                       *QUIET) == EXIT_CONFIG
+                       *NO_DISTURBANCE) == EXIT_CONFIG
 
     def test_swept_value_fails_as_set_does(self, tmp_path, capsys):
         assert run_cli("sweep", "--out", str(tmp_path), "--values", "7,nan",
-                       "--duration", "1", *QUIET) == EXIT_CONFIG
+                       "--duration", "1", *NO_DISTURBANCE) == EXIT_CONFIG
         swept = capsys.readouterr().err
         assert run_cli("simulate", "--out", str(tmp_path), "--set",
                        "loop.actuator.gain=NaN", *QUIET) == EXIT_CONFIG
@@ -296,7 +309,7 @@ class TestSweepAndTune:
 
     def test_tune_budget_one_echoes_start(self, tmp_path, capsys):
         code = run_cli("tune", "--out", str(tmp_path), "--max-evals", "1",
-                       "--duration", "4", *QUIET)
+                       "--duration", "4", *NO_DISTURBANCE)
         assert code == EXIT_OK
         text = (tmp_path / "tuned_gains.txt").read_text()
         assert "k_p=44.0000" in text
@@ -387,10 +400,13 @@ def argvs(draw, trace):
     for key, value in draw(st.lists(st.tuples(keys, override_values),
                                     max_size=3)):
         argv += ["--set", f"{key}={value}"]
-    if draw(st.booleans()):
-        argv.append(f"--seed={draw(number_texts)}")
-    if draw(st.booleans()):
-        argv.append("--no-noise")
+    if command == "size":
+        return argv
+    if command in ("simulate", "ab"):
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(number_texts)}")
+        if draw(st.booleans()):
+            argv.append("--no-noise")
     if command == "sweep":
         param = draw(st.sampled_from(LOOP_LEAVES) | st.text(max_size=6))
         argv += [f"--param={param}", "--values=0.5,7"]

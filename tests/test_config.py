@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from pitchpilot import config as cfgmod
 from pitchpilot.aero import AeroDerivatives, MissileConfig, TailSizingInputs
 from pitchpilot.errors import (ConfigError, DomainError, NonNegative, Nonzero,
-                               Positive)
+                               Params, Positive)
 from pitchpilot.metrics import BandSpec
 from pitchpilot.tuner import SweepSpec
 
@@ -25,8 +26,9 @@ PARAMETER_SETS = {type(p): p for root in (
     SweepSpec("actuator.gain", (7.0,)), MissileConfig(), AeroDerivatives(),
     TailSizingInputs(), BandSpec(target=1.0, half_width=0.45))
     for p in _nested(root)}
-# Range annotation -> values on the wrong side of its bound.
-VIOLATIONS = {Positive: (0, -1), NonNegative: (-1,), Nonzero: (0,)}
+# Annotation -> values a field so annotated rejects.
+VIOLATIONS = {Positive: (0, -1), NonNegative: (-1,), Nonzero: (0,),
+              float: (math.nan, math.inf), bool: (1, None), int: (-1, 0.5)}
 RANGED_FIELDS = [pytest.param(params, f, id=f"{cls.__name__}.{f.name}")
                  for cls, params in PARAMETER_SETS.items()
                  for f in fields(params) if f.type in VIOLATIONS]
@@ -121,6 +123,10 @@ class TestOverrides:
 
 
 class TestRangeAnnotations:
+    def test_every_parameter_set_validates_by_type(self):
+        assert [cls.__name__ for cls in PARAMETER_SETS
+                if not issubclass(cls, Params)] == []
+
     @pytest.mark.parametrize("params, field", RANGED_FIELDS)
     def test_every_ranged_field_is_checked(self, params, field):
         name = f"{type(params).__name__}.{field.name}"

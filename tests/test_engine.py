@@ -431,6 +431,17 @@ class TestTraceCsvReader:
         _assert_read_like_loadtxt(_LONG_BODY + "\n".join([row] * lines)
                                   .encode())
 
+    def test_line_longer_than_a_block_never_reaches_loadtxt(self):
+        # The line carries into the next read instead of sending the whole
+        # file to `np.loadtxt`.
+        body = _LONG_BODY + ",".join(["0." + "5" * engine._CSV_READ]
+                                     + ["0.5"] * 10).encode()
+        expected = _loadtxt(body)
+        with mock.patch.object(np, "loadtxt",
+                               side_effect=AssertionError("np.loadtxt")):
+            back = _read_back(_HEADER + body)
+        assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)
     @given(rows=st.lists(st.lists(st.floats() | st.sampled_from(_EDGES),

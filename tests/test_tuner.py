@@ -15,10 +15,6 @@ class TestCostSpec:
         with pytest.raises(ConfigError):
             CostSpec(w_ts=-1.0)
 
-    def test_zero_detection(self):
-        assert CostSpec(w_ts=0, w_mp=0, w_tr=0, w_iae=0).is_zero
-        assert not CostSpec().is_zero
-
 
 class TestNelderMead:
     def test_quadratic_convergence(self):
@@ -143,12 +139,15 @@ class TestTunePid:
         assert history[-1] <= start_cost
         assert all(b <= a for a, b in zip(history, history[1:]))
 
-    def test_zero_weight_cost_short_circuits(self, quiet_config):
+    def test_zero_weight_cost_returns_start(self, quiet_config):
+        # Every evaluation costs 0 or the penalty, and only a strictly lower
+        # cost replaces the best, so the start stays best.
         gains, history = tune_pid(
-            quiet_config, Scenario(),
-            CostSpec(w_ts=0, w_mp=0, w_tr=0, w_iae=0), max_evals=50)
+            quiet_config, Scenario(duration=1.0),
+            CostSpec(w_ts=0, w_mp=0, w_tr=0, w_iae=0), max_evals=8)
         assert gains == quiet_config.pid
-        assert history == [0.0]
+        assert 1 <= len(history) <= 8
+        assert history == [0.0] * len(history)
 
     def test_untunable_start(self, quiet_config):
         # Near-zero gains never pull the pitch off its start within a short
