@@ -4,8 +4,9 @@ Each block owns its own mutable state and is advanced a window of steps
 per call: its per-step method takes a sequence with one input per step and
 returns a list with one output per step, running the same recursion over
 local variables as a one-step call would.  Any split of the inputs into
-windows gives the same outputs and end state.  Instances are cheap; build a
-fresh set per run and never share them across runs.
+windows gives the same outputs and end state; build a fresh set per run.
+The exception is the noise, which no loop signal reaches: `NoiseSource`
+holds no state and draws a whole run's noise in one call.
 
 What no measurement or control reaches is computed once per configuration
 instead: the Kalman filter's covariance recursion fills a `GainSchedule`,
@@ -132,7 +133,7 @@ def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
     and next rate from (rate, delta, amp·sin(f·t), amp·cos(f·t)) at the
     step start."""
     A, B = plant.model()
-    f = disturbance.frequency
+    f = float(disturbance.frequency)
     Ae = np.zeros((4, 4))
     Ae[:2, :2] = A
     Ae[:2, 2] = -B
@@ -416,24 +417,17 @@ class NoiseSource:
         self.hold = _steps(params.sample_time, dt, "noise sample_time")
         self.sigma = math.sqrt(params.variance)
         self.enabled = params.enabled and params.variance > 0
-        self.rng = np.random.default_rng(seed)
-        self.value = 0.0
+        self.seed = seed
 
-    def sample(self, steps):
-        """Noise value for each step index of the sequence `steps`, in
-        order; draws fresh at each hold boundary, all of the call's draws
-        in one `normal` call (the same numbers as one call per draw)."""
+    def sample(self, count):
+        """Noise of the run's first `count` steps, drawn afresh every `hold`
+        steps by one `normal` call (the same numbers as one call per draw)
+        of a generator seeded anew, so equal calls give equal lists."""
         if not self.enabled:
-            return [0.0] * len(steps)
-        fresh = [k % self.hold == 0 for k in steps]
-        draws = iter(self.rng.normal(0.0, self.sigma, size=sum(fresh)).tolist())
-        value, out = self.value, []
-        for new in fresh:
-            if new:
-                value = next(draws)
-            out.append(value)
-        self.value = value
-        return out
+            return [0.0] * count
+        draws = np.random.default_rng(self.seed).normal(
+            0.0, self.sigma, size=-(-count // self.hold))
+        return np.repeat(draws, self.hold)[:count].tolist()
 
 
 def disturbance_at(params: DisturbanceParams, times):
@@ -442,5 +436,5 @@ def disturbance_at(params: DisturbanceParams, times):
     first = min(times, default=0.0)
     if first < 0:
         raise DomainError(f"t must be >= 0, got {first}")
-    amp, freq = params.amplitude, params.frequency
+    amp, freq = float(params.amplitude), float(params.frequency)
     return [amp * math.sin(freq * t) for t in times]

@@ -2,7 +2,8 @@
 
 Subcommands: simulate, ab, size, sweep, tune, metrics.  All outputs go to
 --out (default: current directory).  Exit codes: 0 success, 2 configuration
-or parse error, 3 diverged simulation.
+or parse error or an output that cannot be written, 3 diverged simulation.
+A command that exits 2 for its configuration or its step writes no file.
 """
 
 import argparse
@@ -111,14 +112,14 @@ def cmd_simulate(args):
     out = _outdir(args)
     loop = cfgmod.loop_config_from(cfg)
     scenario = cfgmod.scenario_from(cfg)
-    trace = run_scenario(loop, scenario)
-    trace.to_csv(out / "trace.csv")
     band = band_for_step(scenario.initial, scenario.command)
+    trace = run_scenario(loop, scenario)
     try:
         m = step_metrics(trace, scenario.initial, scenario.command, band)
         text = _metrics_text(m)
     except NoResponseError:
         text = "Step metrics\n  (trace never crossed the 10% threshold)\n"
+    trace.to_csv(out / "trace.csv")
     (out / "metrics.txt").write_text(text, encoding="utf-8")
     (out / "plot_trace.py").write_text(
         PLOT_TEMPLATE.format(csv_name="trace.csv", half_width=band.half_width,
@@ -134,12 +135,12 @@ def cmd_ab(args):
     out = _outdir(args)
     loop = cfgmod.loop_config_from(cfg)
     scenario = cfgmod.scenario_from(cfg)
-    trace_a, trace_b = run_ab_pair(loop, scenario)
-    trace_a.to_csv(out / "trace_a.csv")
-    trace_b.to_csv(out / "trace_b.csv")
     band = band_for_step(scenario.initial, scenario.command)
+    trace_a, trace_b = run_ab_pair(loop, scenario)
     m_a = step_metrics(trace_a, scenario.initial, scenario.command, band)
     m_b = step_metrics(trace_b, scenario.initial, scenario.command, band)
+    trace_a.to_csv(out / "trace_a.csv")
+    trace_b.to_csv(out / "trace_b.csv")
 
     def improvement(a, b):
         return fixed(100.0 * (a - b) / a if a else float("nan"), ".1f")
@@ -209,8 +210,10 @@ def cmd_sweep(args):
             lines.append(f"{value!r},{m.t_r!r},{m.t_p!r},{t_s},{m.m_p!r},{c!r}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     winner = min(rows, key=lambda row: row[2])
-    print(f"swept {spec.path} over {len(rows)} values;"
-          f" best {spec.path} = {winner[0]} (cost {fixed(winner[2], '.4f')})")
+    best = (f"best {spec.path} = {winner[0]} (cost {fixed(winner[2], '.4f')})"
+            if any(m is not None for _, m, _ in rows)
+            else "no value gave a measurable response")
+    print(f"swept {spec.path} over {len(rows)} values; {best}")
     return EXIT_OK
 
 
@@ -291,8 +294,11 @@ def main(argv=None):
     except DivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, PitchPilotError) as exc:
+    except PitchPilotError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:   # reads and --out raise ConfigError instead
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

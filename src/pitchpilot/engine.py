@@ -9,12 +9,12 @@ The actuator's transport delay holds D = tau/dt deflections already fixed
 (at most the run's step count), so no signal crosses the loop in fewer
 than L = D + 1 steps.  `run_scenario` therefore advances the loop in
 windows of L steps, calling each block once per window with one list entry
-per step (tau = 0 gives L = 1).  Per window: the plant, the noise and the
-Kalman filter run over the window, driven by the actuator's last output
-and its pending delay line; then PID -> lead -> actuator run on the
-window's filtered pitches.  Each block performs the same operations in the
-same order as a one-step loop, so the trace is the same bit for bit, and
-one scan per window checks the signals in step order.
+per step (tau = 0 gives L = 1).  Per window: the plant, driven by the
+actuator's last output and its pending delay line, and the Kalman filter, on
+the pitches plus the window's noise, run over the window; then PID -> lead
+-> actuator run on the filtered pitches.  Each block does the same
+operations in the same order as a one-step loop, so the trace is the same
+bit for bit, and one scan per window checks the signals in step order.
 
 The plant advances by its exact zero-order-hold map, with the sinusoidal
 disturbance carried as oscillator states, so its update has no step-size
@@ -24,8 +24,9 @@ A workflow repeats runs that differ only in the controller or the actuator,
 so what those never reach is computed once per configuration and kept for
 the next run: `_plan` holds the time grid k·dt, amplitude·cos(frequency·t)
 for the plant's exact hold and the plant's hold rows, and the Kalman filter
-reads its gains from a `blocks.GainSchedule`.  Per window stay the block
-recursions, the noise draws and the disturbance sine (`disturbance_at`).
+reads its gains from a `blocks.GainSchedule`.  A run draws its noise in
+one `NoiseSource.sample` call; per window stay the block recursions and
+the disturbance sine (`disturbance_at`).
 """
 
 import io
@@ -234,10 +235,10 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     lead = Lead(config.compensator, dt) if config.compensator.enabled else None
     act = Actuator(config.actuator, dt, initial=0.0, run_steps=n)
     window = len(act.pending) + 1
-    noise = NoiseSource(config.noise, dt, scenario.seed)
+    noise = NoiseSource(config.noise, dt, scenario.seed).sample(n)
     kal = (Kalman(config.kalman, config.plant, dt, scenario.initial)
            if config.kalman.enabled else None)
-    dist, t, d_cos, plant_rows = _plan(dt, n, config.disturbance, config.plant)
+    t, d_cos, plant_rows = _plan(dt, n, config.disturbance, config.plant)
     (p01, p0u, p0s, p0c), (p11, p1u, p1s, p1c) = plant_rows
 
     omega = float(scenario.initial)
@@ -247,13 +248,14 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     rec[:, 1] = cmd
 
     # The first window is the initial sample alone, filtered by the
-    # Kalman filter's first update, which has no prediction.
+    # Kalman filter's first update, which has no prediction and so reads
+    # no control.
     k0, k1 = 0, 1
-    ds = disturbance_at(dist, [0.0])
-    omegas, rates = [omega], [omega_dot]
-    meas = [omega + v for v in noise.sample(range(1))]
-    filt = kal.step(meas, [0.0]) if kal else meas
+    ds = disturbance_at(config.disturbance, [0.0])
+    omegas, rates, drive = [omega], [omega_dot], [0.0]
     while True:
+        meas = [w + v for w, v in zip(omegas, noise[k0:k1])]
+        filt = kal.step(meas, drive) if kal else meas
         errors = [cmd - f for f in filt]
         u_pid = pid.step(errors)
         u_lead = lead.step(u_pid) if lead else u_pid
@@ -274,7 +276,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
         drive = [delta[-1], *act.pending][:k2 - k1]
         d_from = ds[-1]
         k0, k1 = k1, k2
-        ds = disturbance_at(dist, t[k0:k1].tolist())
+        ds = disturbance_at(config.disturbance, t[k0:k1].tolist())
         omegas, rates = [], []
         for u, d, d_c in zip(drive, [d_from, *ds],
                              d_cos[k0 - 1:k1 - 1].tolist()):
@@ -284,24 +286,20 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
             omega_dot = p11 * omega_dot + p1u * u + p1s * d + p1c * d_c
             omegas.append(omega)
             rates.append(omega_dot)
-        meas = [w + v for w, v in zip(omegas, noise.sample(range(k0, k1)))]
-        filt = kal.step(meas, drive) if kal else meas
 
 
 @cache_last
 def _plan(dt, n, disturbance: DisturbanceParams, plant: PitchPlantParams):
-    """The gain-independent part of a run of n steps: the disturbance as
-    floats, the time grid k·dt, amplitude·cos(frequency·t) on it and the
-    plant's exact-hold rows (`plant_step`).  The sine stays a per-window
-    `disturbance_at` call."""
+    """The gain-independent part of a run of n steps: the time grid k·dt,
+    amplitude·cos(frequency·t) on it and the plant's exact-hold rows
+    (`plant_step`).  The sine stays a per-window `disturbance_at` call."""
     amp = float(disturbance.amplitude)
     freq = float(disturbance.frequency)
-    dist = DisturbanceParams(amp, freq)
     t = np.arange(n) * dt
     d_cos = np.fromiter((amp * math.cos(freq * (k * dt)) for k in range(n)),
                         float, n)
     t.flags.writeable = d_cos.flags.writeable = False   # shared across runs
-    return dist, t, d_cos, plant_step(plant, dist, dt)
+    return t, d_cos, plant_step(plant, disturbance, dt)
 
 
 def run_ab_pair(config: LoopConfig, scenario: Scenario):

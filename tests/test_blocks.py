@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 from scipy.signal import cont2discrete
 
 from pitchpilot.blocks import (Actuator, ActuatorParams, CompensatorParams,
@@ -199,6 +199,10 @@ class TestLoopCoefficientsArePythonFloats:
         values["lead.step"], = lead.step([1.0])
         values["act.step"], = act.step([1.0])
         values["kal.step"], = kal.step([1.0], [1.0])
+        noise = NoiseSource(params(NoiseParams), dt, seed=1)
+        values["noise.sample"], = noise.sample(1)
+        values["disturbance_at"], = disturbance_at(
+            params(DisturbanceParams), [1.0])
         assert [n for n, v in values.items() if type(v) is not float] == []
 
 
@@ -323,40 +327,50 @@ class TestKalman:
 class TestNoise:
     def test_zero_variance(self):
         src = NoiseSource(NoiseParams(variance=0.0), dt=0.001, seed=1)
-        assert src.sample(range(1000)) == [0.0] * 1000
+        assert src.sample(1000) == [0.0] * 1000
 
     def test_statistical_oracle(self):
         src = NoiseSource(NoiseParams(variance=0.1, sample_time=0.01),
                           dt=0.01, seed=42)
-        draws = np.array(src.sample(range(100000)))
+        draws = np.array(src.sample(100000))
         assert abs(draws.mean()) < 0.01
         assert draws.var() == pytest.approx(0.1, rel=0.10)
 
     def test_determinism(self):
         a = NoiseSource(NoiseParams(), dt=0.001, seed=7)
         b = NoiseSource(NoiseParams(), dt=0.001, seed=7)
-        assert a.sample(range(500)) == b.sample(range(500))
+        assert a.sample(500) == b.sample(500)
 
     def test_zero_order_hold(self):
         src = NoiseSource(NoiseParams(sample_time=0.01), dt=0.001, seed=3)
-        values = src.sample(range(30))
+        values = src.sample(30)
         assert len(set(values[:10])) == 1
         assert len(set(values[10:20])) == 1
         assert values[0] != values[10]
 
+    # 250 steps end inside a hold of 3 and of 10 steps.
     @pytest.mark.parametrize("hold_steps", [1, 3, 10])
-    def test_windows_draw_the_scalar_sequence(self, hold_steps):
+    def test_one_call_draws_the_scalar_sequence(self, hold_steps):
         params = NoiseParams(sample_time=0.001 * hold_steps)
         src = NoiseSource(params, dt=0.001, seed=11)
-        cuts = [0, 1, 2, 5, 17, 18, 60, 101, 250]
-        windows = [src.sample(range(a, b)) for a, b in zip(cuts, cuts[1:])]
         rng = np.random.default_rng(11)
         expected, value = [], None
-        for k in range(cuts[-1]):
+        for k in range(250):
             if k % hold_steps == 0:
                 value = rng.normal(0.0, math.sqrt(params.variance))
             expected.append(value)
-        assert sum(windows, []) == expected
+        assert src.sample(250) == expected
+
+    @pytest.mark.parametrize("count", [0, 1, 9, 10, 11, 101])
+    def test_shorter_call_is_a_prefix(self, count):
+        src = NoiseSource(NoiseParams(sample_time=0.01), dt=0.001, seed=5)
+        assert src.sample(count) == src.sample(250)[:count]
+
+    def test_equal_calls_return_the_same_list(self):
+        src = NoiseSource(NoiseParams(), dt=0.001, seed=5)
+        first = src.sample(300)
+        assert src.sample(300) == first
+        assert len(first) == 300
 
     def test_sample_time_guard(self):
         with pytest.raises(ConfigError):
@@ -402,13 +416,6 @@ def _windows(values, cuts):
     return [values[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _state(block):
-    """Every attribute of `block`, a random generator by its state."""
-    return {name: (value.bit_generator.state
-                   if isinstance(value, np.random.Generator) else value)
-            for name, value in vars(block).items()}
-
-
 def _assert_split_invariant(make, step, values, cuts):
     """`step(block, window)` over `values` as one window, as the windows
     split at `cuts`, and one value per window: equal outputs, equal end
@@ -418,7 +425,7 @@ def _assert_split_invariant(make, step, values, cuts):
                     [values[i:i + 1] for i in range(len(values))]):
         block = make()
         outputs = [y for window in windows for y in step(block, window)]
-        results.append((outputs, _state(block)))
+        results.append((outputs, vars(block)))
     assert results[1] == results[0]
     assert results[2] == results[0]
 
@@ -463,15 +470,6 @@ class TestWindowSplits:
         _assert_split_invariant(
             lambda: Kalman(KalmanParams(), PitchPlantParams(), 0.001, 2.0),
             step, values, cuts)
-
-    # A hold is 10 steps; the example's windows start and end inside holds.
-    @example(start=3, count=25, cuts=[4, 15])
-    @given(start=st.integers(0, 30), count=st.integers(0, 200),
-           cuts=cut_points)
-    def test_noise(self, start, count, cuts):
-        _assert_split_invariant(
-            lambda: NoiseSource(NoiseParams(sample_time=0.01), 0.001, 3),
-            NoiseSource.sample, list(range(start, start + count)), cuts)
 
     @given(values=st.lists(st.floats(0.0, 1e3), max_size=200),
            cuts=cut_points)

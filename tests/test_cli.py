@@ -127,6 +127,15 @@ class TestSimulate:
         named = NONFINITE_SIZING.get(override, f"'{section}'")
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", ["1e12", "1e300"])
+    def test_run_too_long_for_memory_exit_code(self, tmp_path, capsys,
+                                               duration):
+        # The record is allocated before the run's noise is drawn.
+        assert run_cli("simulate", "--out", str(tmp_path), "--duration",
+                       duration) == EXIT_CONFIG
+        assert "fits in memory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_divergence_exit_code(self, tmp_path):
         code = run_cli("simulate", "--out", str(tmp_path),
                        "--set", "loop.pid.k_p=1e9",
@@ -280,7 +289,49 @@ class TestHugeValuesInExponentForm:
         assert not re.search(r"\d{10}", text)
 
 
+# A short run per command that writes files; each would exit 0.
+WRITERS = {"simulate": ["--duration", "2", *QUIET],
+           "ab": ["--duration", "2", *QUIET],
+           "size": [],
+           "sweep": ["--values", "7", "--duration", "2", *NO_DISTURBANCE],
+           "tune": ["--max-evals", "1", "--duration", "2", *NO_DISTURBANCE]}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "trace.csv"), ("simulate", "metrics.txt"),
+    ("ab", "trace_a.csv"), ("size", "sizing.txt"), ("sweep", "sweep.csv"),
+    ("tune", "tuned_gains.txt")])
+def test_unwritable_output_exit_code(tmp_path, capsys, command, name):
+    (tmp_path / name).mkdir()
+    assert run_cli(command, "--out", str(tmp_path),
+                   *WRITERS[command]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(tmp_path / name) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--set", "scenario.command=10"],   # a step from 10 to 10
+    ["ab", "--duration", "0.002"]],                  # no response yet
+    ids=["degenerate-step", "no-response"])
+def test_step_error_writes_nothing(tmp_path, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepAndTune:
+    def test_sweep_without_a_response_names_no_best(self, tmp_path, capsys):
+        # Neither run outlasts its delay, so both cost the penalty.
+        assert run_cli("sweep", "--out", str(tmp_path), "--param",
+                       "actuator.tau", "--values", "1,2", "--duration",
+                       "0.5") == EXIT_OK
+        assert capsys.readouterr().out == (
+            "swept actuator.tau over 2 values;"
+            " no value gave a measurable response\n")
+        assert (tmp_path / "sweep.csv").read_text() == (
+            "value,t_r,t_p,t_s,m_p,cost\n"
+            "1.0,,,,,1000000.0\n2.0,,,,,1000000.0\n")
+
     def test_sweep_winner_reported(self, tmp_path, capsys):
         code = run_cli("sweep", "--out", str(tmp_path), "--values", "5,6,7",
                        "--duration", "4", *NO_DISTURBANCE)

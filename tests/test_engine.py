@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pitchpilot import engine
 from pitchpilot.blocks import (ActuatorParams, CompensatorParams,
                                DisturbanceParams, KalmanParams, NoiseParams,
-                               PidGains, PitchPlantParams)
+                               NoiseSource, PidGains, PitchPlantParams)
 from pitchpilot.engine import (TRACE_COLUMNS, LoopConfig, Scenario, Trace,
                                run_ab_pair, run_scenario, stability_probe)
 from pitchpilot.errors import ConfigError, DivergedError
@@ -188,6 +188,18 @@ class TestWindows:
         for name in TRACE_COLUMNS:
             assert (getattr(run, name).tobytes()
                     == getattr(longest, name).tobytes()), name
+
+    @pytest.mark.parametrize("tau, duration", [(0.1, 10.0), (0.0, 0.5)])
+    def test_noise_is_drawn_once_per_run(self, monkeypatch, noisy_config,
+                                         tau, duration):
+        # One call per loop-delay window would be 101 in the default run.
+        calls = []
+        sample = NoiseSource.sample
+        monkeypatch.setattr(NoiseSource, "sample", lambda self, count: (
+            calls.append(count) or sample(self, count)))
+        cfg = replace(noisy_config, actuator=ActuatorParams(tau=tau))
+        trace = run_scenario(cfg, Scenario(duration=duration))
+        assert calls == [len(trace)]
 
     def test_nan_process_noise_is_a_config_error(self):
         with pytest.raises(ConfigError, match="KalmanParams.q_rate"):
