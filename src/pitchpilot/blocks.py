@@ -266,14 +266,13 @@ class Lead:
 class Actuator:
     """2nd-order servo advanced by exact zero-order-hold, then a pure delay.
 
-    The delay line holds tau/dt servo outputs, preloaded with the steady
-    deflection for `initial` command, so the output holds that value for
-    exactly tau seconds regardless of the input.  A line longer than
-    `run_steps`, the steps the block will run, only outputs its preload.
+    The delay line holds tau/dt servo outputs, preloaded with zeros (the
+    servo starts at rest), so the output is zero for exactly tau seconds
+    regardless of the input.  A line longer than `run_steps`, the steps the
+    block will run, only outputs its preload.
     """
 
-    def __init__(self, params: ActuatorParams, dt, initial=0.0,
-                 run_steps=math.inf):
+    def __init__(self, params: ActuatorParams, dt, run_steps=math.inf):
         wn2 = params.wn * params.wn   # `**` raises OverflowError past 1e154
         A = np.array([[0.0, 1.0], [-wn2, -2.0 * params.mu * params.wn]])
         B = np.array([0.0, params.gain * wn2])
@@ -281,10 +280,8 @@ class Actuator:
         n_slots = min(_steps(params.tau, dt, "actuator delay tau"), run_steps)
         (self.a00, self.a01), (self.a10, self.a11) = Ad.tolist()
         self.b_0, self.b_1 = Bd.tolist()
-        steady = float(params.gain * initial)
-        self.x0 = steady
-        self.x1 = 0.0
-        self._line = [steady] * n_slots
+        self.x0 = self.x1 = 0.0
+        self._line = [0.0] * n_slots
 
     @property
     def pending(self):

@@ -3,11 +3,13 @@
 Subcommands: simulate, ab, size, sweep, tune, metrics.  All outputs go to
 --out (default: current directory).  Exit codes: 0 success, 2 configuration
 or parse error or an output that cannot be written, 3 diverged simulation.
-A command that exits 2 for its configuration or its step writes no file.
+A command that does not exit 0 writes no file.
 """
 
 import argparse
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import config as cfgmod
@@ -31,7 +33,7 @@ import csv
 import matplotlib.pyplot as plt
 
 t, omega, cmd = [], [], []
-with open({csv_name!r}) as fh:
+with open('trace.csv') as fh:
     for row in csv.DictReader(fh):
         t.append(float(row["t"]))
         omega.append(float(row["omega"]))
@@ -46,8 +48,8 @@ plt.axhline(target - half, color="r", ls="--", label="Lower 2")
 plt.xlabel("time [s]")
 plt.ylabel("pitch [deg]")
 plt.legend()
-plt.savefig({png_name!r}, dpi=150)
-print("wrote", {png_name!r})
+plt.savefig('trace.png', dpi=150)
+print("wrote", 'trace.png')
 """
 
 
@@ -84,14 +86,36 @@ def _load(args):
     return cfg
 
 
-def _outdir(args):
-    out = Path(args.out)
+def _outdir(path):
+    out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         raise ConfigError(
             f"cannot use output directory {out}: {exc}") from exc
     return out
+
+
+def _write(out, outputs):
+    """Write every output (a file name's text or `Trace`) to `out`, or none:
+    all are staged in a temporary directory before any is renamed into
+    `out`.  A name taken by a directory is refused before any write, since
+    renaming onto it would fail after earlier renames had landed."""
+    for name in outputs:
+        if (out / name).is_dir():
+            raise ConfigError(f"cannot write output {out / name}:"
+                              " it is a directory")
+    stage = Path(tempfile.mkdtemp(dir=out, prefix=".pitchpilot-"))
+    try:
+        for name, data in outputs.items():
+            if isinstance(data, Trace):
+                data.to_csv(stage / name)
+            else:
+                (stage / name).write_text(data, encoding="utf-8")
+        for name in outputs:
+            (stage / name).replace(out / name)
+    finally:
+        shutil.rmtree(stage)
 
 
 def _metrics_text(m, label=""):
@@ -107,9 +131,11 @@ def _metrics_text(m, label=""):
     return head + body + devaud_report(m) + "\n"
 
 
-def cmd_simulate(args):
-    cfg = _load(args)
-    out = _outdir(args)
+# Each command returns (outputs, text): the files for `_write` and the exact
+# stdout.  `main` loads `cfg` and prints `text` once the files are written.
+
+
+def cmd_simulate(args, cfg):
     loop = cfgmod.loop_config_from(cfg)
     scenario = cfgmod.scenario_from(cfg)
     band = band_for_step(scenario.initial, scenario.command)
@@ -119,28 +145,18 @@ def cmd_simulate(args):
         text = _metrics_text(m)
     except NoResponseError:
         text = "Step metrics\n  (trace never crossed the 10% threshold)\n"
-    trace.to_csv(out / "trace.csv")
-    (out / "metrics.txt").write_text(text, encoding="utf-8")
-    (out / "plot_trace.py").write_text(
-        PLOT_TEMPLATE.format(csv_name="trace.csv", half_width=band.half_width,
-                             png_name="trace.png"),
-        encoding="utf-8")
-    print(text, end="")
-    print(f"wrote {out / 'trace.csv'}")
-    return EXIT_OK
+    plot = PLOT_TEMPLATE.format(half_width=band.half_width)
+    return ({"trace.csv": trace, "metrics.txt": text, "plot_trace.py": plot},
+            f"{text}wrote {Path(args.out) / 'trace.csv'}\n")
 
 
-def cmd_ab(args):
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_ab(args, cfg):
     loop = cfgmod.loop_config_from(cfg)
     scenario = cfgmod.scenario_from(cfg)
     band = band_for_step(scenario.initial, scenario.command)
     trace_a, trace_b = run_ab_pair(loop, scenario)
     m_a = step_metrics(trace_a, scenario.initial, scenario.command, band)
     m_b = step_metrics(trace_b, scenario.initial, scenario.command, band)
-    trace_a.to_csv(out / "trace_a.csv")
-    trace_b.to_csv(out / "trace_b.csv")
 
     def improvement(a, b):
         return fixed(100.0 * (a - b) / a if a else float("nan"), ".1f")
@@ -158,20 +174,15 @@ def cmd_ab(args):
             lines.append(f"Noise envelope {leg}: max {fixed(mx, '.3f')}"
                          f" min {fixed(mn, '.3f')} deg")
     report = "\n".join(lines) + "\n"
-    (out / "ab_report.txt").write_text(report, encoding="utf-8")
-    print(report, end="")
-    return EXIT_OK
+    return ({"trace_a.csv": trace_a, "trace_b.csv": trace_b,
+             "ab_report.txt": report}, report)
 
 
-def cmd_size(args):
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_size(args, cfg):
     report = sizing_report(cfgmod.missile_from(cfg),
                            cfgmod.derivatives_from(cfg),
                            cfgmod.tail_sizing_from(cfg))
-    (out / "sizing.txt").write_text(report, encoding="utf-8")
-    print(report, end="")
-    return EXIT_OK
+    return {"sizing.txt": report}, report
 
 
 def _parse_values(text):
@@ -194,9 +205,7 @@ def _parse_values(text):
     return tuple(values)
 
 
-def cmd_sweep(args):
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_sweep(args, cfg):
     spec = SweepSpec(path=args.param, values=_parse_values(args.values),
                      scenario=cfgmod.scenario_from(cfg),
                      config=cfgmod.loop_config_from(cfg))
@@ -208,18 +217,15 @@ def cmd_sweep(args):
         else:
             t_s = repr(m.t_s) if m.t_s is not None else ""
             lines.append(f"{value!r},{m.t_r!r},{m.t_p!r},{t_s},{m.m_p!r},{c!r}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     winner = min(rows, key=lambda row: row[2])
     best = (f"best {spec.path} = {winner[0]} (cost {fixed(winner[2], '.4f')})"
             if any(m is not None for _, m, _ in rows)
             else "no value gave a measurable response")
-    print(f"swept {spec.path} over {len(rows)} values; {best}")
-    return EXIT_OK
+    return ({"sweep.csv": "\n".join(lines) + "\n"},
+            f"swept {spec.path} over {len(rows)} values; {best}\n")
 
 
-def cmd_tune(args):
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_tune(args, cfg):
     loop = cfgmod.loop_config_from(cfg)
     scenario = cfgmod.scenario_from(cfg)
     gains, history = tune_pid(loop, scenario, CostSpec(), args.max_evals)
@@ -229,19 +235,16 @@ def cmd_tune(args):
         f"evaluations: {len(history)}\n"
         f"cost: start {fixed(history[0], '.4f')}"
         f" -> best {fixed(history[-1], '.4f')}\n")
-    (out / "tuned_gains.txt").write_text(report, encoding="utf-8")
-    print(report, end="")
-    return EXIT_OK
+    return {"tuned_gains.txt": report}, report
 
 
-def cmd_metrics(args):
+def cmd_metrics(args, cfg):
     trace = Trace.from_csv(args.trace)
     start = float(args.start if args.start is not None else trace.omega[0])
     target = float(args.target if args.target is not None else trace.cmd[-1])
     band = band_for_step(start, target, args.band_fraction)
     m = step_metrics(trace, start, target, band)
-    print(_metrics_text(m), end="")
-    return EXIT_OK
+    return {}, _metrics_text(m)
 
 
 def build_parser():
@@ -287,19 +290,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        cfg = _load(args) if "config" in args else None
+        out = _outdir(args.out) if "out" in args else None
+        outputs, text = args.func(args, cfg)
+        if outputs:
+            _write(out, outputs)
     except PitchPilotError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_DIVERGED if isinstance(exc, DivergedError) else EXIT_CONFIG
     except OSError as exc:   # reads and --out raise ConfigError instead
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(text, end="")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

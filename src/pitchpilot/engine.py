@@ -233,7 +233,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
 
     pid = Pid(config.pid, dt)
     lead = Lead(config.compensator, dt) if config.compensator.enabled else None
-    act = Actuator(config.actuator, dt, initial=0.0, run_steps=n)
+    act = Actuator(config.actuator, dt, run_steps=n)
     window = len(act.pending) + 1
     noise = NoiseSource(config.noise, dt, scenario.seed).sample(n)
     kal = (Kalman(config.kalman, config.plant, dt, scenario.initial)

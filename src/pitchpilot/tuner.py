@@ -41,7 +41,6 @@ class SweepSpec(Params):
     values: tuple
     scenario: Scenario = field(default_factory=Scenario)
     config: LoopConfig = field(default_factory=LoopConfig)
-    cost: CostSpec = field(default_factory=CostSpec)
 
     def __post_init__(self):
         super().__post_init__()
@@ -69,12 +68,14 @@ def evaluate(config: LoopConfig, scenario: Scenario, cost: CostSpec):
 
 
 def sweep(spec: SweepSpec):
-    """One run per value; returns [(value, StepMetrics or None, cost), ...]."""
+    """One run per value, scored by the default `CostSpec`; returns
+    [(value, StepMetrics or None, cost), ...]."""
     rows = []
     doc = {"loop": asdict(spec.config)}
     for value in spec.values:
         cfgmod.apply_override(doc, "loop." + spec.path, value)
-        m, c = evaluate(cfgmod.loop_config_from(doc), spec.scenario, spec.cost)
+        m, c = evaluate(cfgmod.loop_config_from(doc), spec.scenario,
+                        CostSpec())
         rows.append((value, m, c))
     return rows
 

@@ -104,7 +104,7 @@ class TestLead:
 
 class TestActuator:
     def test_pure_delay_hold(self):
-        act = Actuator(ActuatorParams(), dt=0.001, initial=0.0)
+        act = Actuator(ActuatorParams(), dt=0.001)
         outputs = act.step([math.sin(k) for k in range(100)])
         assert outputs == [0.0] * 100
 
@@ -150,10 +150,9 @@ class TestActuator:
         assert np.allclose(coarse, dense, rtol=1e-6, atol=1e-9)
 
     def test_delay_line_is_cut_at_the_run_length(self):
-        act = Actuator(ActuatorParams(tau=1e300), dt=0.001, initial=0.5,
-                       run_steps=50)
+        act = Actuator(ActuatorParams(tau=1e300), dt=0.001, run_steps=50)
         assert len(act.pending) == 50
-        assert act.step([math.sin(k) for k in range(50)]) == [3.5] * 50
+        assert act.step([math.sin(k) for k in range(50)]) == [0.0] * 50
 
     def test_delay_must_divide_dt(self):
         with pytest.raises(ConfigError):
@@ -180,7 +179,7 @@ class TestLoopCoefficientsArePythonFloats:
         dt = 0.001
         pid = Pid(params(PidGains), dt)
         lead = Lead(params(CompensatorParams), dt)
-        act = Actuator(params(ActuatorParams), dt, initial=1.0)
+        act = Actuator(params(ActuatorParams), dt)
         kal = Kalman(params(KalmanParams), params(PitchPlantParams), dt,
                      initial_pitch=2.0)
         values = {f"{name}.{attr}": getattr(block, attr)
@@ -449,13 +448,13 @@ class TestWindowSplits:
     @given(values=st.lists(signal, max_size=200), cuts=cut_points)
     def test_actuator(self, tau, values, cuts):
         _assert_split_invariant(
-            lambda: Actuator(ActuatorParams(tau=tau), 0.001, initial=0.5),
+            lambda: Actuator(ActuatorParams(tau=tau), 0.001),
             Actuator.step, values, cuts)
 
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     @given(values=st.lists(signal, max_size=200), later=signal)
     def test_actuator_pending_is_its_next_output(self, tau, values, later):
-        act = Actuator(ActuatorParams(tau=tau), 0.001, initial=0.5)
+        act = Actuator(ActuatorParams(tau=tau), 0.001)
         act.step(values)
         pending = act.pending
         assert len(pending) == round(tau / 0.001)

@@ -299,7 +299,8 @@ WRITERS = {"simulate": ["--duration", "2", *QUIET],
 
 @pytest.mark.parametrize("command, name", [
     ("simulate", "trace.csv"), ("simulate", "metrics.txt"),
-    ("ab", "trace_a.csv"), ("size", "sizing.txt"), ("sweep", "sweep.csv"),
+    ("simulate", "plot_trace.py"), ("ab", "trace_a.csv"),
+    ("ab", "ab_report.txt"), ("size", "sizing.txt"), ("sweep", "sweep.csv"),
     ("tune", "tuned_gains.txt")])
 def test_unwritable_output_exit_code(tmp_path, capsys, command, name):
     (tmp_path / name).mkdir()
@@ -308,14 +309,19 @@ def test_unwritable_output_exit_code(tmp_path, capsys, command, name):
     err = capsys.readouterr().err
     assert str(tmp_path / name) in err
     assert "Traceback" not in err
+    # Neither an earlier output nor a staging file is left behind.
+    assert list(tmp_path.iterdir()) == [tmp_path / name]
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--set", "scenario.command=10"],   # a step from 10 to 10
-    ["ab", "--duration", "0.002"]],                  # no response yet
-    ids=["degenerate-step", "no-response"])
-def test_step_error_writes_nothing(tmp_path, argv):
-    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_CONFIG
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--set", "scenario.command=10"],   # a step from 10 to 10
+     EXIT_CONFIG),
+    (["ab", "--duration", "0.002"], EXIT_CONFIG),     # no response yet
+    (["simulate", "--set", "loop.pid.k_p=1e9", "--set", "loop.pid.k_d=1e9",
+      *QUIET], EXIT_DIVERGED)],
+    ids=["degenerate-step", "no-response", "diverged"])
+def test_step_error_writes_nothing(tmp_path, argv, code):
+    assert run_cli(*argv, "--out", str(tmp_path)) == code
     assert list(tmp_path.iterdir()) == []
 
 

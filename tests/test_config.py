@@ -9,7 +9,7 @@ from pitchpilot.aero import AeroDerivatives, MissileConfig, TailSizingInputs
 from pitchpilot.errors import (ConfigError, DomainError, NonNegative, Nonzero,
                                Params, Positive)
 from pitchpilot.metrics import BandSpec
-from pitchpilot.tuner import SweepSpec
+from pitchpilot.tuner import CostSpec, SweepSpec
 
 
 def _nested(params):
@@ -21,10 +21,11 @@ def _nested(params):
 
 
 # One valid instance of every parameter dataclass; a SweepSpec holds the
-# scenario, the loop with its blocks, and the cost.
+# scenario and the loop with its blocks.
 PARAMETER_SETS = {type(p): p for root in (
-    SweepSpec("actuator.gain", (7.0,)), MissileConfig(), AeroDerivatives(),
-    TailSizingInputs(), BandSpec(target=1.0, half_width=0.45))
+    SweepSpec("actuator.gain", (7.0,)), CostSpec(), MissileConfig(),
+    AeroDerivatives(), TailSizingInputs(),
+    BandSpec(target=1.0, half_width=0.45))
     for p in _nested(root)}
 # Annotation -> values a field so annotated rejects.
 VIOLATIONS = {Positive: (0, -1), NonNegative: (-1,), Nonzero: (0,),
