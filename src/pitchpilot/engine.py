@@ -135,10 +135,11 @@ class Trace:
         longer than a block carries into the next read), each parsed in C
         by one `orjson.loads` call as `[[row],[row],...]` into one (m, 11)
         float64 array, so the peak memory stays near twice the trace.  A
-        block takes this path only if its bytes are `0-9 . , - e E` and
+        block takes this path only if its bytes are `0-9 . , + - e E` and
         newlines, and its rows hold no integer field `-0`, which JSON reads
         as the integer 0.  Within those bytes JSON's number grammar is a
-        subset of `np.loadtxt`'s, and both round correctly, so every number
+        subset of `np.loadtxt`'s (JSON takes `+` only in an exponent, as
+        `repr` writes 1e+16), and both round correctly, so every number
         reads back to the same double.  If a block fails a check, fails to
         parse or has rows of other than 11 values, the whole body is read
         again as UTF-8 text with `np.loadtxt`, the one grammar for files
@@ -176,7 +177,7 @@ TRACE_COLUMNS = tuple(f.name for f in fields(Trace))
 _CSV_HEADER = ",".join(TRACE_COLUMNS).encode()
 _CSV_BLOCK = 512    # rows per encoder call in `Trace.to_csv`
 _CSV_READ = 1 << 16    # bytes per decoder call in `Trace.from_csv`
-_JSON_BYTES = b"0123456789.,-eE\n"    # the bytes a block may hold
+_JSON_BYTES = b"0123456789.,+-eE\n"    # the bytes a block may hold
 
 
 def _json_rows(fh):
@@ -217,11 +218,15 @@ def _json_block(lines):
     return block
 
 
-def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
+def run_scenario(config: LoopConfig, scenario: Scenario,
+                 watch=None) -> Trace:
     """Simulate the closed loop once and return the full Trace.
 
     Deterministic given (config, scenario).  Raises DivergedError with the
-    offending step index if any signal goes non-finite.
+    offending step index if any signal goes non-finite.  `watch(trace, k0,
+    k1)`, if given, is called after each window but the last, once rows
+    k0..k1-1 of the returned Trace's columns are checked and recorded
+    (later rows are not yet written); it may end the run by raising.
     """
     dt = float(scenario.dt)
     try:
@@ -246,6 +251,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
     cmd = float(scenario.command)
     rec[:, 0] = t
     rec[:, 1] = cmd
+    trace = Trace(*rec.T)
 
     # The first window is the initial sample alone, filtered by the
     # Kalman filter's first update, which has no prediction and so reads
@@ -267,7 +273,9 @@ def run_scenario(config: LoopConfig, scenario: Scenario) -> Trace:
                                       u_pid, u_lead, delta, ds), start=2):
             rec[k0:k1, col] = values
         if k1 == n:
-            return Trace(*rec.T)
+            return trace
+        if watch:
+            watch(trace, k0, k1)
 
         # The next window's plant steps start from steps k1-1 .. k2-2, whose
         # deflections the actuator has already fixed: its last output and

@@ -43,7 +43,7 @@ class NoResponseError(PitchPilotError):
 
 
 class UntunableStartError(PitchPilotError):
-    """Every vertex of the initial tuning simplex diverged."""
+    """No gains a tuning run evaluated scored below the divergence penalty."""
 
 
 def fixed(value, spec):

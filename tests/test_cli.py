@@ -364,6 +364,16 @@ class TestSweepAndTune:
         assert "'loop.actuator'" in swept
         assert capsys.readouterr().err == swept
 
+    @pytest.mark.parametrize("budget", ["1", "3"])
+    def test_diverged_start_is_untunable_at_any_budget(self, tmp_path,
+                                                       capsys, budget):
+        # Fewer evaluations than the simplex has vertices, all diverged.
+        assert run_cli("tune", "--out", str(tmp_path), "--max-evals", budget,
+                       "--set", "loop.pid.k_p=1e9",
+                       "--set", "loop.pid.k_d=1e9") == EXIT_CONFIG
+        assert "divergence penalty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tune_budget_one_echoes_start(self, tmp_path, capsys):
         code = run_cli("tune", "--out", str(tmp_path), "--max-evals", "1",
                        "--duration", "4", *NO_DISTURBANCE)

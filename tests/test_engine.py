@@ -201,6 +201,41 @@ class TestWindows:
         trace = run_scenario(cfg, Scenario(duration=duration))
         assert calls == [len(trace)]
 
+    @pytest.mark.parametrize("tau, duration", [(0.1, 10.0), (0.0, 0.05),
+                                               (0.26, 0.2)])
+    def test_watch_sees_each_window_but_the_last(self, noisy_config, tau,
+                                                 duration):
+        cfg = replace(noisy_config, actuator=ActuatorParams(tau=tau))
+        scenario = Scenario(duration=duration)
+        plain = run_scenario(cfg, scenario)
+        calls = []
+
+        def watch(trace, k0, k1):
+            # Rows up to k1 are final when the watch sees them.
+            calls.append((k0, k1))
+            for name in TRACE_COLUMNS:
+                assert (getattr(trace, name)[:k1].tobytes()
+                        == getattr(plain, name)[:k1].tobytes()), name
+
+        watched = run_scenario(cfg, scenario, watch)
+        for name in TRACE_COLUMNS:
+            assert (getattr(watched, name).tobytes()
+                    == getattr(plain, name).tobytes()), name
+        window = round(tau / 0.001) + 1
+        edges = [0, 1, *range(1 + window, len(plain), window)]
+        assert calls == list(zip(edges, edges[1:]))
+
+    def test_watch_that_raises_ends_the_run(self, quiet_config):
+        class Stop(Exception):
+            pass
+
+        def watch(trace, k0, k1):
+            if k1 > 500:
+                raise Stop
+
+        with pytest.raises(Stop):
+            run_scenario(quiet_config, Scenario(), watch)
+
     def test_nan_process_noise_is_a_config_error(self):
         with pytest.raises(ConfigError, match="KalmanParams.q_rate"):
             run_scenario(LoopConfig(kalman=KalmanParams(q_rate=float("nan"))),
@@ -485,6 +520,26 @@ class TestTraceCsvReader:
         for name in TRACE_COLUMNS:
             assert np.array_equal(getattr(back, name).view(np.int64),
                                   getattr(trace, name).view(np.int64)), name
+
+    def test_huge_values_never_reach_loadtxt(self, quiet_config, tmp_path):
+        # `repr` writes |x| >= 1e16 as 1e+16; JSON takes that "+".  The
+        # runaway run of `simulate --no-noise --set
+        # loop.actuator.gain=5000` peaks at 3e160 deg.
+        trace = run_scenario(replace(quiet_config, actuator=ActuatorParams(
+            gain=5000.0)), Scenario())
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert b"e+" in path.read_bytes()
+        body = b"1e+16,-1.5e+300,1E+5" + b",0.5" * 8 + b"\n"
+        with mock.patch.object(np, "loadtxt",
+                               side_effect=AssertionError("np.loadtxt")):
+            back = Trace.from_csv(path)
+            row = _read_back(_HEADER + body)
+        for name in TRACE_COLUMNS:
+            assert np.array_equal(getattr(back, name).view(np.int64),
+                                  getattr(trace, name).view(np.int64)), name
+        assert np.array_equal(row.view(np.int64),
+                              _loadtxt(body).view(np.int64))
 
     def test_peak_memory_is_a_small_multiple_of_the_trace(self, noisy_b,
                                                           tmp_path):

@@ -1,7 +1,12 @@
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from pitchpilot import tuner
 
 from pitchpilot.engine import Scenario, run_scenario
 from pitchpilot.errors import ConfigError, UntunableStartError
@@ -16,11 +21,22 @@ class TestCostSpec:
             CostSpec(w_ts=-1.0)
 
 
+def _shaped(shape, x):
+    """A 2-D test cost: a quadratic bowl, the bowl with a cliff, or the
+    floor of the bowl (ties)."""
+    value = float(np.sum((x - np.array([3.0, -2.0])) ** 2))
+    if shape == "cliff":
+        value += 1e6 if x[0] > 2.0 else 0.0
+    elif shape == "plateau":
+        value = float(np.floor(value))
+    return value
+
+
 class TestNelderMead:
     def test_quadratic_convergence(self):
         target = np.array([3.0, -1.5, 7.0])
 
-        def f(x):
+        def f(x, ceiling):
             return float(np.sum((x - target) ** 2))
 
         best, cost, history = nelder_mead(
@@ -31,7 +47,7 @@ class TestNelderMead:
     def test_budget_of_one_returns_start(self):
         calls = []
 
-        def f(x):
+        def f(x, ceiling):
             calls.append(np.array(x))
             return float(np.sum(x ** 2))
 
@@ -42,7 +58,7 @@ class TestNelderMead:
         assert len(history) == 1
 
     def test_history_non_increasing(self):
-        def f(x):
+        def f(x, ceiling):
             return float(np.sum((x - 1.0) ** 2))
 
         _, _, history = nelder_mead(f, np.array([5.0, 5.0]), [1.0, 1.0],
@@ -55,15 +71,10 @@ class TestNelderMead:
         # From the origin all three reach the expansion and contraction
         # steps; the plateau's ties also reach the shrink step.  None
         # converges within 40 evaluations, so each spends its whole budget.
-        target = np.array([3.0, -2.0])
         calls = []
 
-        def f(x):
-            value = float(np.sum((x - target) ** 2))
-            if shape == "cliff":
-                value += 1e6 if x[0] > 2.0 else 0.0
-            elif shape == "plateau":
-                value = float(np.floor(value))
+        def f(x, ceiling):
+            value = _shaped(shape, x)
             calls.append((x.copy(), value))
             return value
 
@@ -73,6 +84,121 @@ class TestNelderMead:
         x, value = min(calls, key=lambda call: call[1])
         assert best_f == value
         assert np.array_equal(best_x, x)
+
+
+    @pytest.mark.parametrize("shape", ["quadratic", "cliff", "plateau"])
+    @pytest.mark.parametrize("max_evals", [1, 2, 3, 4, 7, 16, 40])
+    @pytest.mark.parametrize("stand_in", ["ceiling", "midway"])
+    def test_costs_at_or_above_the_ceiling_can_be_bounds(self, shape,
+                                                          max_evals,
+                                                          stand_in):
+        # A cost at or above its ceiling may come back as any value at or
+        # above the ceiling; each ceiling is at least the best so far.
+        best, stood_in = [np.inf], []
+
+        def bounded(x, ceiling):
+            value = _shaped(shape, x)
+            assert ceiling >= best[0]
+            best[0] = min(best[0], value)
+            if value < ceiling:
+                return value
+            stood_in.append(value)
+            return ceiling if stand_in == "ceiling" else (ceiling + value) / 2
+
+        exact = nelder_mead(lambda x, ceiling: _shaped(shape, x), np.zeros(2),
+                            [1.0, 1.0], max_evals)
+        lazy = nelder_mead(bounded, np.zeros(2), [1.0, 1.0], max_evals)
+        assert np.array_equal(lazy[0], exact[0])
+        assert lazy[1:] == exact[1:]
+        if max_evals >= 7:
+            assert stood_in
+
+
+def _scaled_gains(config, factors):
+    pid = config.pid
+    return replace(config, pid=replace(
+        pid, k_p=pid.k_p * factors[0], k_i=pid.k_i * factors[1],
+        k_d=pid.k_d * factors[2]))
+
+
+# Gains from 0.2 to 3 times the defaults: from sluggish through the default
+# response to diverging ones.
+_factors = st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3)
+
+
+class TestCeiling:
+    """`evaluate` with a ceiling: a stopped run's value is a bound."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=25)
+    @given(factors=_factors, scales=st.lists(st.floats(0.3, 1.5),
+                                             min_size=2, max_size=2))
+    def test_stopped_value_compares_as_the_full_cost(self, quiet_config,
+                                                     factors, scales):
+        config = _scaled_gains(quiet_config, factors)
+        sc, cost = Scenario(), CostSpec()
+        _, full = evaluate(config, sc, cost)
+        ceilings = [full * scales[0], full * scales[1], full,
+                    math.nextafter(full, -math.inf),
+                    math.nextafter(full, math.inf),
+                    cost.divergence_penalty, math.inf]
+        for ceiling in ceilings:
+            m, value = evaluate(config, sc, cost, ceiling)
+            assert (value >= ceiling) == (full >= ceiling)
+            if m is not None or value < ceiling:
+                assert value == full
+            else:
+                assert ceiling <= value <= full
+
+    def test_stops_only_runs_that_reach_the_ceiling(self, quiet_config):
+        sc, cost = Scenario(), CostSpec()
+        _, full = evaluate(quiet_config, sc, cost)
+        m, value = evaluate(quiet_config, sc, cost, full * 0.5)
+        assert m is None and full * 0.5 <= value < full
+        m, value = evaluate(quiet_config, sc, cost,
+                            math.nextafter(full, math.inf))
+        assert m is not None and value == full
+
+
+def _unbounded(config, scenario, cost, ceiling=math.inf):
+    return evaluate(config, scenario, cost)
+
+
+class TestTuneWithStops:
+    """`tune_pid` stops runs early yet returns what full runs give."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=12)
+    @given(factors=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+           max_evals=st.integers(1, 40))
+    def test_same_gains_and_history_as_full_runs(self, quiet_config,
+                                                 factors, max_evals):
+        config, sc = _scaled_gains(quiet_config, factors), Scenario(
+            duration=4.0)
+        results = []
+        for patch in (mock.patch.object(tuner, "evaluate", _unbounded),
+                      mock.patch.object(tuner, "evaluate", evaluate)):
+            with patch:
+                try:
+                    results.append(tune_pid(config, sc, CostSpec(),
+                                            max_evals))
+                except UntunableStartError as exc:
+                    results.append(str(exc))
+        assert results[0] == results[1]
+
+    def test_default_tune_stops_runs(self, quiet_config):
+        # The 16-evaluation budget of `tune --max-evals 16`.
+        seen = []
+
+        def recording(config, scenario, cost, ceiling=math.inf):
+            result = evaluate(config, scenario, cost, ceiling)
+            seen.append((ceiling, *result))
+            return result
+
+        with mock.patch.object(tuner, "evaluate", recording):
+            tune_pid(quiet_config, Scenario(), CostSpec(), 16)
+        stopped = [(c, v) for c, m, v in seen if m is None]
+        assert stopped and all(c <= v for c, v in stopped)
 
 
 class TestSweep:
