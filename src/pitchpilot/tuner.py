@@ -122,15 +122,15 @@ class _CostBound:
             self.peak = max(self.peak, float(y.max()))
         else:
             self.peak = min(self.peak, float(y.min()))
-        while (len(self.crossed) < 2 and (self.peak - self.levels[
-                len(self.crossed)]) * self.direction >= 0):
+        for level in self.levels[len(self.crossed):]:
+            if (self.peak - level) * self.direction < 0:
+                break
             # Sample k0-1 is not past the level, or an earlier batch would
             # have crossed it, so the first crossing is interpolated here
             # exactly as on the whole trace.
             k = max(k0 - 1, 0)
             self.crossed.append(_crossing_time(
-                trace.t[k:k1], trace.omega[k:k1],
-                self.levels[len(self.crossed)], self.rising))
+                trace.t[k:k1], trace.omega[k:k1], level, self.rising))
         if len(self.crossed) == 2:
             t_r = self.crossed[1] - self.crossed[0]
         elif self.crossed:

@@ -211,11 +211,11 @@ class TestWindows:
         calls = []
 
         def watch(trace, k0, k1):
-            # Rows up to k1 are final when the watch sees them.
+            # The window's rows are final when the watch sees them.
             calls.append((k0, k1))
             for name in TRACE_COLUMNS:
-                assert (getattr(trace, name)[:k1].tobytes()
-                        == getattr(plain, name)[:k1].tobytes()), name
+                assert (getattr(trace, name)[k0:k1].tobytes()
+                        == getattr(plain, name)[k0:k1].tobytes()), name
 
         watched = run_scenario(cfg, scenario, watch)
         for name in TRACE_COLUMNS:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pitchpilot import tuner
-
 from pitchpilot.engine import Scenario, run_scenario
 from pitchpilot.errors import ConfigError, UntunableStartError
 from pitchpilot.metrics import band_for_step, step_metrics
@@ -84,7 +83,6 @@ class TestNelderMead:
         x, value = min(calls, key=lambda call: call[1])
         assert best_f == value
         assert np.array_equal(best_x, x)
-
 
     @pytest.mark.parametrize("shape", ["quadratic", "cliff", "plateau"])
     @pytest.mark.parametrize("max_evals", [1, 2, 3, 4, 7, 16, 40])
@@ -175,30 +173,30 @@ class TestTuneWithStops:
                                                  factors, max_evals):
         config, sc = _scaled_gains(quiet_config, factors), Scenario(
             duration=4.0)
-        results = []
-        for patch in (mock.patch.object(tuner, "evaluate", _unbounded),
-                      mock.patch.object(tuner, "evaluate", evaluate)):
-            with patch:
-                try:
-                    results.append(tune_pid(config, sc, CostSpec(),
-                                            max_evals))
-                except UntunableStartError as exc:
-                    results.append(str(exc))
-        assert results[0] == results[1]
+
+        def tune():
+            try:
+                return repr(tune_pid(config, sc, CostSpec(), max_evals))
+            except UntunableStartError as exc:
+                return repr(exc)
+
+        with mock.patch.object(tuner, "evaluate", _unbounded):
+            full = tune()
+        assert tune() == full
 
     def test_default_tune_stops_runs(self, quiet_config):
         # The 16-evaluation budget of `tune --max-evals 16`.
         seen = []
 
         def recording(config, scenario, cost, ceiling=math.inf):
-            result = evaluate(config, scenario, cost, ceiling)
-            seen.append((ceiling, *result))
-            return result
+            _, value = evaluate(config, scenario, cost, ceiling)
+            seen.append((ceiling, value, evaluate(config, scenario, cost)[1]))
+            return None, value
 
         with mock.patch.object(tuner, "evaluate", recording):
             tune_pid(quiet_config, Scenario(), CostSpec(), 16)
-        stopped = [(c, v) for c, m, v in seen if m is None]
-        assert stopped and all(c <= v for c, v in stopped)
+        assert any(value != full for _, value, full in seen)
+        assert all((value >= c) == (full >= c) for c, value, full in seen)
 
 
 class TestSweep:
