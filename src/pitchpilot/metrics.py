@@ -1,11 +1,11 @@
 """Step-response measurements and noise statistics extracted from a Trace.
 
-Conventions: rise time is the 10%->90% traversal of the start->target
-interval; the onset rise is the time from the first sample to the first
-crossing of the target (the 0->100% rise of an underdamped response, as in
-Ogata, Modern Control Engineering, sec. 5-3); overshoot is measured on the
-true pitch beyond the target in the direction of travel; settling requires
-remaining inside the band through the end of the trace.
+Conventions, all applied by `StepTracker`: rise time is the 10%->90%
+traversal of the start->target interval; the onset rise is the time from the
+first sample to the first crossing of the target (the 0->100% rise of an
+underdamped response, as in Ogata, Modern Control Engineering, sec. 5-3);
+overshoot is the peak beyond the target in the direction of travel; settling
+requires remaining inside the band through the end of the trace.
 """
 
 import math
@@ -60,14 +60,13 @@ def band_for_step(start, target, fraction=BAND_FRACTION):
     return BandSpec(target=target, half_width=fraction * abs(start - target))
 
 
-def _crossing_time(t, y, level, rising):
-    """First time y crosses `level` (interpolated); t[0] if already past."""
-    past = y >= level if rising else y <= level
-    if past[0]:
-        return t[0]
-    idx = np.nonzero(past)[0]
+def _crossing_time(t, y, level):
+    """First time y reaches `level` from below; t[0] if already there."""
+    idx = np.nonzero(y >= level)[0]
     if len(idx) == 0:
         return None
+    if idx[0] == 0:
+        return t[0]
     return _interpolate(t, y, idx[0] - 1, level)
 
 
@@ -78,58 +77,96 @@ def _interpolate(t, y, i, level):
     return t[i] + frac * (t[i + 1] - t[i])
 
 
+class StepTracker:
+    """A step response measured from a trace's rows a batch at a time.
+
+    `update(t, y, k1)` takes rows k..k1-1 of the time and pitch columns, k
+    being the first row not yet taken, and `metrics(t, y)` the rest; taking
+    the last row without crossing 10 % raises NoResponseError.  Where
+    target - start is finite, any batches give the same result.  A falling
+    step is measured as the rising step of -y: negation is exact and
+    commutes with subtraction, so every number is the same double."""
+
+    def __init__(self, start, target, band: BandSpec):
+        if start == target:
+            raise DomainError("degenerate step: start equals target")
+        span = target - start
+        s = self.sign = 1.0 if span > 0 else -1.0
+        start, self.target, self.span = s * start, s * target, s * span
+        self.levels = (start + 0.1 * self.span, start + 0.9 * self.span)
+        self.band_target, self.half_width = s * band.target, band.half_width
+        # For the rows so far, None until seen: the first crossing of 10 %,
+        # the 10->90 % rise, the onset rise and the last row outside the
+        # band; and the first largest excursion (or first NaN) and its row.
+        self.t10 = self.t_r = self.t_r_onset = self.last_out = None
+        self.peak, self.i_peak, self.k = -math.inf, 0, 0
+
+    def update(self, t, y, k1):
+        k0, self.k = self.k, k1
+        # Row k0-1 is below every level not yet crossed, so a crossing at
+        # row k0 interpolates from it as on the whole trace.
+        lo = max(k0 - 1, 0)
+        ts, ys = t[lo:k1], self.sign * y[lo:k1]
+        if self.t10 is None:
+            self.t10 = _crossing_time(ts, ys, self.levels[0])
+        if self.t10 is not None and self.t_r is None:
+            t90 = _crossing_time(ts, ys, self.levels[1])
+            self.t_r = None if t90 is None else t90 - self.t10
+        if self.t10 is not None and self.t_r_onset is None:
+            t100 = _crossing_time(ts, ys, self.target)
+            self.t_r_onset = None if t100 is None else t100 - t[0]
+        if self.t10 is None and k1 == len(y):
+            raise NoResponseError("trace never crossed the 10% threshold")
+        if k0 == k1:
+            return
+        rows = ys[k0 - lo:]
+        excursion = rows - self.target
+        top = excursion.max()
+        # As np.argmax over all rows so far: the first largest, or first NaN.
+        if top > self.peak or math.isnan(top) and not math.isnan(self.peak):
+            i = int(np.argmax(excursion))
+            self.peak, self.i_peak = float(excursion[i]), k0 + i
+        distance = np.abs(rows - self.band_target)
+        if not distance.max() <= self.half_width:
+            outside = np.nonzero(~(distance <= self.half_width))[0]
+            self.last_out = k0 + int(outside[-1])
+
+    def metrics(self, t, y) -> StepMetrics:
+        self.update(t, y, len(y))
+        t_r = float("inf") if self.t_r is None else self.t_r
+        t_r_onset = float("inf") if self.t_r_onset is None else self.t_r_onset
+        m_p = max(float(self.peak), 0.0)
+        j, t_s = self.last_out, None
+        if j is None:
+            t_s = float(t[0])
+        elif j + 1 < len(y):
+            ys = self.sign * y[j:j + 2]
+            edge = (self.band_target
+                    + self.half_width * np.sign(ys[0] - self.band_target))
+            t_s = float(_interpolate(t[j:j + 2], ys, 0, edge))
+        pct = 100.0 * m_p / abs(self.target) if self.target else float("nan")
+        final_error = abs(self.sign * float(y[-1]) - self.target)
+        return StepMetrics(
+            t_r=float(t_r),
+            t_r_onset=float(t_r_onset),
+            t_p=float(t[self.i_peak]),
+            t_s=t_s,
+            m_p=m_p,
+            pct_overshoot=pct,
+            final_error=final_error,
+            req_rise=t_r <= 0.350,
+            req_overshoot=pct <= 20.0,
+            req_accuracy=final_error <= 0.05 * self.span,
+        )
+
+
 def step_metrics(trace, start, target, band: BandSpec) -> StepMetrics:
     """Measure a start->target step response on the true pitch signal."""
     if len(trace) == 0:
         raise DomainError("empty trace")
-    if start == target:
-        raise DomainError("degenerate step: start equals target")
     t = np.asarray(trace.t, dtype=float)
     y = np.asarray(trace.omega, dtype=float)
-    span = target - start
-    rising = span > 0
-
-    t10 = _crossing_time(t, y, start + 0.1 * span, rising)
-    if t10 is None:
-        raise NoResponseError("trace never crossed the 10% threshold")
-    t90 = _crossing_time(t, y, start + 0.9 * span, rising)
-    t_r = (t90 - t10) if t90 is not None else float("inf")
-    t100 = _crossing_time(t, y, target, rising)
-    t_r_onset = (t100 - t[0]) if t100 is not None else float("inf")
-
-    # Excursion beyond the target in the direction of travel.
-    direction = 1.0 if rising else -1.0
-    excursion = (y - target) * direction
-    i_peak = int(np.argmax(excursion))
-    m_p = max(float(excursion[i_peak]), 0.0)
-    t_p = float(t[i_peak])
-
-    inside = np.abs(y - band.target) <= band.half_width
-    outside = np.nonzero(~inside)[0]
-    if len(outside) == 0:
-        t_s = float(t[0])
-    elif outside[-1] + 1 >= len(y):
-        t_s = None
-    else:
-        j = outside[-1]
-        edge = band.target + band.half_width * np.sign(y[j] - band.target)
-        t_s = float(_interpolate(t, y, j, edge))
-
-    pct = 100.0 * m_p / abs(target) if target != 0 else float("nan")
-    final_error = abs(float(y[-1]) - target)
-
-    return StepMetrics(
-        t_r=float(t_r),
-        t_r_onset=float(t_r_onset),
-        t_p=t_p,
-        t_s=t_s,
-        m_p=m_p,
-        pct_overshoot=pct,
-        final_error=final_error,
-        req_rise=t_r <= 0.350,
-        req_overshoot=pct <= 20.0,
-        req_accuracy=final_error <= 0.05 * abs(span),
-    )
+    return StepTracker(start, target, band).metrics(t, y)
 
 
 def devaud_report(metrics: StepMetrics) -> str:

@@ -8,8 +8,8 @@ Most of Nelder-Mead's evaluations only ask whether a cost is below a
 ceiling (the score a candidate must beat).  `tune_pid` passes that ceiling
 to `evaluate`, which stops a run as soon as a lower bound on its cost from
 the run so far reaches it; the search, its best gains and its history are
-the same as with every run simulated in full.  `sweep` reports every cost,
-so it passes no ceiling.
+the same as with every run simulated in full.  The bound measures the run
+so far with `metrics.StepTracker`.  `sweep` passes no ceiling.
 """
 
 import math
@@ -21,7 +21,7 @@ from . import config as cfgmod
 from .engine import LoopConfig, Scenario, run_scenario
 from .errors import (ConfigError, DivergedError, NoResponseError,
                      NonNegative, Params, Positive, UntunableStartError)
-from .metrics import _crossing_time, band_for_step, step_metrics
+from .metrics import StepTracker, band_for_step, step_metrics
 
 # Nelder-Mead stops before its budget once the simplex spans less than X_TOL
 # in every coordinate and its scores differ by less than F_TOL.
@@ -72,75 +72,39 @@ _BOUND_STEPS = 250
 
 
 class _CostBound:
-    """A `run_scenario` watch that keeps a lower bound on `evaluate`'s cost
-    from the run so far, and stops the run once it reaches `ceiling`.
-
-    Each term bounds its counterpart of the full run from below:
-    - t_s by the time of the last sample outside the band (the full t_s
-      interpolates after that sample, or is the duration);
-    - M_p by the peak excursion so far;
-    - t_r by t[k] - t10 while 90 % is not yet crossed (t90 lies after
-      t[k]), and by the exact t90 - t10 once it is;
-    - the IAE by the running sum of |cmd - omega| scaled by 1 - 4·n·2⁻⁵³
-      for a run of n steps: summed in any order, n non-negative floats err
-      by at most (n-1)·2⁻⁵³ relative to their exact sum, to first order
-      (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec.
-      4.2), both here and in the full run's `np.sum`.
-    The terms are added as `evaluate` adds them, so rounding keeps the
-    bound at most the formula's cost.  A run that diverges later, or never
-    crosses 10 %, costs the penalty instead, so the value it stops with is
-    the bound capped at the penalty.  Rows are taken in batches of at
-    least `_BOUND_STEPS` (whole windows), each reduced once.
-    """
+    """A `run_scenario` watch that stops a run once a lower bound on
+    `evaluate`'s cost from the rows so far reaches `ceiling`: t_s by the
+    last row outside the band, M_p by the peak so far, t_r by t[k1-1] - t10
+    until 90 % is crossed, and the IAE by the running sum of |cmd - omega|
+    times 1 - 4·n·2⁻⁵³ for n steps, as two sums of n non-negative floats
+    differ by at most (n-1)·2⁻⁵³ each (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 4.2).  It is capped at the penalty, the
+    cost of a run that would diverge or never cross 10 %."""
 
     def __init__(self, cost, scenario, band, ceiling):
         self.cost, self.ceiling, self.dt = cost, ceiling, scenario.dt
-        self.target, self.half_width = band.target, band.half_width
-        start, span = scenario.initial, scenario.command - scenario.initial
-        self.rising = span > 0
-        self.direction = 1.0 if self.rising else -1.0
-        self.levels = [start + 0.1 * span, start + 0.9 * span]
-        self.crossed = []    # t10, then t90, as `step_metrics` finds them
-        self.peak = -np.inf if self.rising else np.inf
-        self.t_out = 0.0     # time of the last sample outside the band
+        self.command = scenario.command
+        self.step = StepTracker(scenario.initial, scenario.command, band)
         self.abs_error = 0.0
-        self.k = 0           # the first row not yet taken
 
     def __call__(self, trace, k0, k1):
-        if k1 - self.k < _BOUND_STEPS:
+        step, k0 = self.step, self.step.k
+        if k1 - k0 < _BOUND_STEPS:
             return
-        k0, self.k = self.k, k1
-        y = trace.omega[k0:k1]
-        d = np.abs(y - self.target)
-        self.abs_error += float(d.sum())
-        if d[-1] > self.half_width:
-            self.t_out = float(trace.t[k1 - 1])
-        elif d.max() > self.half_width:
-            self.t_out = float(trace.t[k0 + np.flatnonzero(
-                d > self.half_width)[-1]])
-        if self.rising:
-            self.peak = max(self.peak, float(y.max()))
-        else:
-            self.peak = min(self.peak, float(y.min()))
-        for level in self.levels[len(self.crossed):]:
-            if (self.peak - level) * self.direction < 0:
-                break
-            # Sample k0-1 is not past the level, or an earlier batch would
-            # have crossed it, so the first crossing is interpolated here
-            # exactly as on the whole trace.
-            k = max(k0 - 1, 0)
-            self.crossed.append(_crossing_time(
-                trace.t[k:k1], trace.omega[k:k1], level, self.rising))
-        if len(self.crossed) == 2:
-            t_r = self.crossed[1] - self.crossed[0]
-        elif self.crossed:
-            t_r = trace.t[k1 - 1] - self.crossed[0]
-        else:
-            t_r = 0.0
+        step.update(trace.t, trace.omega, k1)
+        self.abs_error += float(np.abs(trace.omega[k0:k1]
+                                       - self.command).sum())
+        t_s = 0.0 if step.last_out is None else float(trace.t[step.last_out])
+        # Until 90 % is crossed, the full run's t90 lies after t[k1-1], or
+        # its rise counts as the duration, which is longer.
+        t_r = step.t_r
+        if t_r is None:
+            t_r = 0.0 if step.t10 is None else trace.t[k1 - 1] - step.t10
         cost = self.cost
-        m_p = max((self.peak - self.target) * self.direction, 0.0)
         iae = self.abs_error * (1 - 4 * len(trace) * 2.0 ** -53) * self.dt
-        bound = (cost.w_ts * self.t_out + cost.w_mp * m_p
+        # Added as `evaluate` adds them, so rounding keeps the bound at most
+        # the cost.
+        bound = (cost.w_ts * t_s + cost.w_mp * max(float(step.peak), 0.0)
                  + cost.w_tr * float(t_r) + cost.w_iae * iae)
         if bound >= self.ceiling:
             raise _Stopped(min(bound, cost.divergence_penalty))
@@ -151,11 +115,12 @@ def evaluate(config: LoopConfig, scenario: Scenario, cost: CostSpec,
     """(StepMetrics or None, cost) of one noise-free run.
 
     A run that diverges or never crosses 10 % of the step costs the
-    divergence penalty.  With a ceiling at most that penalty, the run
-    stops once a lower bound on its cost (`_CostBound`) reaches the
-    ceiling, and the result is (None, bound): the bound is at least the
-    ceiling and at most the full run's cost, so it compares with the
-    ceiling as that cost would.  A cost below the ceiling is always exact.
+    divergence penalty; a t_s or t_r that never comes counts as the
+    duration.  With a ceiling at most that penalty, the run stops once a
+    lower bound on its cost (`_CostBound`) reaches the ceiling, and the
+    result is (None, bound): the bound is at least the ceiling and at most
+    the full run's cost, so it compares with the ceiling as that cost
+    would.  A cost below the ceiling is always exact.
     """
     band = band_for_step(scenario.initial, scenario.command)
     watch = (_CostBound(cost, scenario, band, ceiling)
@@ -169,8 +134,9 @@ def evaluate(config: LoopConfig, scenario: Scenario, cost: CostSpec,
         return None, stop.args[0]
     iae = float(np.sum(np.abs(trace.cmd - trace.omega)) * scenario.dt)
     t_s = m.t_s if m.t_s is not None else scenario.duration
+    t_r = m.t_r if math.isfinite(m.t_r) else scenario.duration
     value = (cost.w_ts * t_s + cost.w_mp * m.m_p
-             + cost.w_tr * m.t_r + cost.w_iae * iae)
+             + cost.w_tr * t_r + cost.w_iae * iae)
     return m, value
 
 

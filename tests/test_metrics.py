@@ -1,13 +1,16 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.signal import lti
 
 from pitchpilot.engine import TRACE_COLUMNS, Trace
 from pitchpilot.errors import DomainError, NoResponseError
-from pitchpilot.metrics import (BandSpec, StepMetrics, band_for_step,
-                                devaud_report, noise_envelope, step_metrics)
+from pitchpilot.metrics import (BandSpec, StepMetrics, StepTracker,
+                                band_for_step, devaud_report, noise_envelope,
+                                step_metrics)
 
 
 def make_trace(t, omega, cmd=None, error=None):
@@ -125,6 +128,179 @@ class TestStepMetrics:
         trace = make_trace(t, np.full_like(t, 10.0))
         with pytest.raises(NoResponseError):
             step_metrics(trace, 10, 1, band_for_step(10, 1, 0.05))
+
+
+# The vectorised `step_metrics` that `StepTracker` replaced, kept verbatim
+# as the reference: a rising and a falling branch over the whole trace.
+def _crossing_time(t, y, level, rising):
+    """First time y crosses `level` (interpolated); t[0] if already past."""
+    past = y >= level if rising else y <= level
+    if past[0]:
+        return t[0]
+    idx = np.nonzero(past)[0]
+    if len(idx) == 0:
+        return None
+    return _interpolate(t, y, idx[0] - 1, level)
+
+
+def _interpolate(t, y, i, level):
+    """Time at which y reaches `level`, linear between samples i and i+1."""
+    y0, y1 = y[i], y[i + 1]
+    frac = (level - y0) / (y1 - y0) if y1 != y0 else 1.0
+    return t[i] + frac * (t[i + 1] - t[i])
+
+
+def reference_step_metrics(trace, start, target,
+                           band: BandSpec) -> StepMetrics:
+    """Measure a start->target step response on the true pitch signal."""
+    if len(trace) == 0:
+        raise DomainError("empty trace")
+    if start == target:
+        raise DomainError("degenerate step: start equals target")
+    t = np.asarray(trace.t, dtype=float)
+    y = np.asarray(trace.omega, dtype=float)
+    span = target - start
+    rising = span > 0
+
+    t10 = _crossing_time(t, y, start + 0.1 * span, rising)
+    if t10 is None:
+        raise NoResponseError("trace never crossed the 10% threshold")
+    t90 = _crossing_time(t, y, start + 0.9 * span, rising)
+    t_r = (t90 - t10) if t90 is not None else float("inf")
+    t100 = _crossing_time(t, y, target, rising)
+    t_r_onset = (t100 - t[0]) if t100 is not None else float("inf")
+
+    # Excursion beyond the target in the direction of travel.
+    direction = 1.0 if rising else -1.0
+    excursion = (y - target) * direction
+    i_peak = int(np.argmax(excursion))
+    m_p = max(float(excursion[i_peak]), 0.0)
+    t_p = float(t[i_peak])
+
+    inside = np.abs(y - band.target) <= band.half_width
+    outside = np.nonzero(~inside)[0]
+    if len(outside) == 0:
+        t_s = float(t[0])
+    elif outside[-1] + 1 >= len(y):
+        t_s = None
+    else:
+        j = outside[-1]
+        edge = band.target + band.half_width * np.sign(y[j] - band.target)
+        t_s = float(_interpolate(t, y, j, edge))
+
+    pct = 100.0 * m_p / abs(target) if target != 0 else float("nan")
+    final_error = abs(float(y[-1]) - target)
+
+    return StepMetrics(
+        t_r=float(t_r),
+        t_r_onset=float(t_r_onset),
+        t_p=t_p,
+        t_s=t_s,
+        m_p=m_p,
+        pct_overshoot=pct,
+        final_error=final_error,
+        req_rise=t_r <= 0.350,
+        req_overshoot=pct <= 20.0,
+        req_accuracy=final_error <= 0.05 * abs(span),
+    )
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+ends = st.integers(-20, 20).map(float) | finite
+
+
+@st.composite
+def step_traces(draw):
+    """(t, omega, start, target, band): a rising or falling step whose pitch
+    is flat stretches of levels, band edges, values in between, any floats
+    and non-finite values, on a time grid with any values dropped in."""
+    start = draw(ends)
+    target = draw(ends.filter(lambda x: x != start))
+    span = target - start
+    half_width = draw(st.floats(1e-3, 1e3) | finite.map(abs).filter(bool))
+    band = BandSpec(draw(st.just(target) | ends), half_width)
+    marks = [start, start + 0.1 * span, start + 0.9 * span, target,
+             band.target - half_width, band.target + half_width]
+    value = (st.sampled_from(marks) | st.floats(-0.5, 1.5).map(
+        lambda u: start + u * span) | finite | non_finite)
+    omega = []
+    for v, repeat in draw(st.lists(st.tuples(value, st.integers(1, 4)),
+                                   min_size=1, max_size=12)):
+        omega += [v] * repeat
+    t = np.arange(len(omega)) * 0.01
+    for i, v in draw(st.lists(st.tuples(st.integers(0, len(t) - 1),
+                                        finite | non_finite), max_size=3)):
+        t[i] = v
+    return t, np.array(omega), start, target, band
+
+
+def _outcome(measure, *args):
+    """The fields of the StepMetrics `measure` returns, or the type and
+    message of what it raises (a warning is an error under the suite's
+    filter)."""
+    try:
+        return astuple(measure(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _same(a, b):
+    """Equal outcomes, NaN matching NaN."""
+    return len(a) == len(b) and all(x == y or (x != x and y != y)
+                                    for x, y in zip(a, b))
+
+
+class TestStepTracker:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(step=step_traces())
+    # t10 = t90 = t[0] = inf: the rise (inf - inf) warns before the onset's
+    # interpolation (inf + -inf) would.
+    @example(step=(np.array([math.inf, 0.01]), np.array([0.95, 1.2]), 0.0,
+                   1.0, BandSpec(1.0, 0.05)))
+    # No response, so no excursion is taken, whose -1e308 - 1e308 would
+    # overflow.
+    @example(step=(np.array([0.0, 0.01]), np.array([-1e308, 0.0]), 0.0,
+                   1e308, BandSpec(1e308, 1.0)))
+    # A NaN pitch is the peak: M_p is NaN at the first NaN row, rising and
+    # falling.
+    @example(step=(np.arange(6) * 0.1, np.array([0, 0.5, math.nan, 1.2,
+                                                  math.nan, 1]), 0.0, 1.0,
+                   BandSpec(1.0, 0.05)))
+    @example(step=(np.arange(6) * 0.1, -np.array([0, 0.5, math.nan, 1.2,
+                                                   math.nan, 1]), 0.0, -1.0,
+                   BandSpec(-1.0, 0.05)))
+    def test_same_as_the_vectorised_reference(self, step):
+        t, omega, start, target, band = step
+        trace = make_trace(t, omega)
+        expected = _outcome(reference_step_metrics, trace, start, target,
+                            band)
+        assert _same(_outcome(step_metrics, trace, start, target, band),
+                     expected)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(step=step_traces(), cuts=st.lists(st.integers(0, 60),
+                                              max_size=6))
+    def test_any_split_gives_the_same_metrics(self, step, cuts):
+        # Every Scenario's step is finite (`Scenario` rejects one that
+        # overflows); with an infinite span the 10 % level is infinite
+        # and lies past the target.
+        t, y, start, target, band = step
+        assume(math.isfinite(target - start))
+
+        def batched():
+            tracker = StepTracker(start, target, band)
+            for k1 in sorted(min(cut, len(y)) for cut in cuts):
+                tracker.update(t, y, k1)
+            return tracker.metrics(t, y)
+
+        # Non-finite rows warn in whichever batch holds them.
+        with np.errstate(all="ignore"):
+            whole = _outcome(step_metrics, make_trace(t, y), start, target,
+                             band)
+            assert _same(_outcome(batched), whole)
 
 
 class TestDevaudReport:

@@ -128,13 +128,16 @@ class TestCeiling:
     """`evaluate` with a ceiling: a stopped run's value is a bound."""
 
     @settings(derandomize=True, database=None, deadline=None,
-              max_examples=25)
+              max_examples=50)
     @given(factors=_factors, scales=st.lists(st.floats(0.3, 1.5),
-                                             min_size=2, max_size=2))
+                                             min_size=2, max_size=2),
+           # The default falling step, and a rising one.
+           sc=st.sampled_from([Scenario(),
+                               Scenario(initial=1.0, command=10.0)]))
     def test_stopped_value_compares_as_the_full_cost(self, quiet_config,
-                                                     factors, scales):
+                                                     factors, scales, sc):
         config = _scaled_gains(quiet_config, factors)
-        sc, cost = Scenario(), CostSpec()
+        cost = CostSpec()
         _, full = evaluate(config, sc, cost)
         ceilings = [full * scales[0], full * scales[1], full,
                     math.nextafter(full, -math.inf),
@@ -149,13 +152,24 @@ class TestCeiling:
                 assert ceiling <= value <= full
 
     def test_stops_only_runs_that_reach_the_ceiling(self, quiet_config):
-        sc, cost = Scenario(), CostSpec()
-        _, full = evaluate(quiet_config, sc, cost)
-        m, value = evaluate(quiet_config, sc, cost, full * 0.5)
-        assert m is None and full * 0.5 <= value < full
-        m, value = evaluate(quiet_config, sc, cost,
-                            math.nextafter(full, math.inf))
-        assert m is not None and value == full
+        sluggish = replace(quiet_config, pid=replace(
+            quiet_config.pid, k_p=2.0, k_i=0.0, k_d=0.0))
+        # The default run; and a proportional-only run of 1 s that crosses
+        # 10 % but never 90 %: its rise counts as the duration, so its cost
+        # is finite and below the penalty, with or without the rise's
+        # weight.
+        for config, sc, cost in [
+                (quiet_config, Scenario(), CostSpec()),
+                (sluggish, Scenario(duration=1.0), CostSpec()),
+                (sluggish, Scenario(duration=1.0), CostSpec(w_tr=0))]:
+            m, full = evaluate(config, sc, cost)
+            assert full < cost.divergence_penalty
+            assert (m.t_r == math.inf) == (config is sluggish)
+            m, value = evaluate(config, sc, cost, full * 0.5)
+            assert m is None and full * 0.5 <= value < full
+            m, value = evaluate(config, sc, cost,
+                                math.nextafter(full, math.inf))
+            assert m is not None and value == full
 
 
 def _unbounded(config, scenario, cost, ceiling=math.inf):
