@@ -4,8 +4,8 @@ from .aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
                    check_control_margin, static_margin, static_margin_calibers,
                    tail_area, tail_area_ratio, wing_area_from_span)
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
-                     DisturbanceParams, Kalman, KalmanParams, Lead,
-                     NoiseParams, NoiseSource, Pid, PidGains,
+                     DisturbanceParams, GainSchedule, Kalman, KalmanParams,
+                     Lead, NoiseParams, NoiseSource, Pid, PidGains,
                      PitchPlantParams, disturbance_at)
 from .config import default_config, load_config
 from .engine import (LoopConfig, Scenario, Trace, run_ab_pair, run_scenario,

@@ -38,18 +38,18 @@ class AeroDerivatives(Params):
 
 @dataclass(frozen=True)
 class TailSizingInputs(Params):
-    """Inputs to the tail-area ratio formula.
+    """Inputs to the tail-area ratio formula besides the centre of gravity,
+    which is the airframe's `MissileConfig.X_CG`.
 
     `d` is the normalizing length applied to every moment arm.  The default
-    set reproduces the published ratio of -2.754, which requires the arms to
-    enter in metres, i.e. a unit normalizing length (see README notes on the
-    source data).
+    set with X_CG = 2.5 m reproduces the published ratio of -2.754, which
+    requires the arms to enter in metres, i.e. a unit normalizing length
+    (see README notes on the source data).
     """
 
     d: Positive = 1.0
     S_W: Positive = 0.287
     S_ref: Positive = 0.0314
-    X_CG: float = 2.5
     X_CP_body: float = 0.2
     X_CP_wing: float = 2.85
     X_CP_tail: float = 4.8
@@ -73,8 +73,9 @@ def wing_area_from_span(b, AR):
     return _finite_result(b * b / AR, "wing area S_W")
 
 
-def tail_area_ratio(inputs: TailSizingInputs):
-    """Required tail-to-reference area ratio S_T/S_ref.
+def tail_area_ratio(inputs: TailSizingInputs, X_CG):
+    """Required tail-to-reference area ratio S_T/S_ref for the centre of
+    gravity X_CG (m from the nose).
 
     The formula balances body, wing, and static-margin pitching-moment
     contributions against the tail arm; the denominator applies to the
@@ -84,10 +85,10 @@ def tail_area_ratio(inputs: TailSizingInputs):
     """
     d = inputs.d
     sw_ratio = inputs.S_W / inputs.S_ref
-    body_arm = (inputs.X_CG - inputs.X_CP_body) / d
-    wing_arm = (inputs.X_CG - inputs.X_CP_wing) / d
-    margin_arm = (inputs.X_AC - inputs.X_CG) / d
-    tail_arm = (inputs.X_CP_tail - inputs.X_CG) / d
+    body_arm = (X_CG - inputs.X_CP_body) / d
+    wing_arm = (X_CG - inputs.X_CP_wing) / d
+    margin_arm = (inputs.X_AC - X_CG) / d
+    tail_arm = (inputs.X_CP_tail - X_CG) / d
 
     denom = inputs.C_Na_tail * tail_arm - margin_arm
     if denom == 0:
@@ -102,9 +103,9 @@ def tail_area_ratio(inputs: TailSizingInputs):
                           "tail area ratio S_T/S_ref")
 
 
-def tail_area(inputs: TailSizingInputs):
+def tail_area(inputs: TailSizingInputs, X_CG):
     """Tail area |S_T/S_ref|·S_ref; the ratio's sign is left to the caller."""
-    return abs(tail_area_ratio(inputs)) * inputs.S_ref
+    return abs(tail_area_ratio(inputs, X_CG)) * inputs.S_ref
 
 
 def static_margin(X_AC, X_CG, l_M):
@@ -129,9 +130,11 @@ def check_control_margin(C_Ma, C_Md):
 def sizing_report(config: MissileConfig, derivs: AeroDerivatives,
                   tail: TailSizingInputs):
     """Plain-text conceptual-sizing summary."""
-    ratio = tail_area_ratio(tail)
-    area = abs(ratio) * tail.S_ref
+    # The airframe's own margin is checked before the tail sizing that
+    # shares its X_CG, so a station past the float range is named there.
     margin = static_margin(config.X_AC, config.X_CG, config.l_M)
+    ratio = tail_area_ratio(tail, config.X_CG)
+    area = abs(ratio) * tail.S_ref
     percent = _finite_result(margin * 100, "static margin in percent")
     wing_area = wing_area_from_span(config.b, config.AR)
     calibers = static_margin_calibers(config.X_AC, config.X_CG, config.d)

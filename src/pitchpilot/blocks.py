@@ -8,10 +8,11 @@ windows gives the same outputs and end state; build a fresh set per run.
 The exception is the noise, which no loop signal reaches: `NoiseSource`
 holds no state and draws a whole run's noise in one call.
 
-What no measurement or control reaches is computed once per configuration
-instead: the Kalman filter's covariance recursion fills a `GainSchedule`,
-which `gain_schedule` keeps for the next filter with the same parameters,
-so a filter's step only updates its state.
+The Kalman filter's covariance reaches no measurement or control, so its
+recursion runs once, in the constructor of an immutable `GainSchedule`,
+and a filter's step only updates its state from the gains it is given.
+The module keeps no cache: `engine._plan` holds one schedule per
+configuration.
 
 Step methods do not check their inputs: a non-finite value runs through the
 recursion like any other, and `engine.run_scenario`, which scans every
@@ -22,7 +23,6 @@ in `__init__`: a numpy scalar would send each step's arithmetic through
 numpy's scalar machinery, about twice as slow as Python's float path.
 """
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -152,33 +152,6 @@ def finite_prefix(values):
                 len(values))
 
 
-def cache_last(build):
-    """`build` with its last result kept: a call whose arguments have the
-    same reprs as the last call's returns that result without building.
-    Keying on repr, not on equality, keeps apart values that compare equal
-    but compute differently (0.0 and -0.0, 1 and 1.0).  Like
-    functools.lru_cache(maxsize=1), the wrapper has `cache_clear`."""
-    last = {}
-
-    @functools.wraps(build)
-    def cached(*args):
-        key = tuple(map(repr, args))
-        if key not in last:
-            last.clear()
-            last[key] = build(*args)
-        return last[key]
-
-    cached.cache_clear = last.clear
-    return cached
-
-
-@cache_last
-def gain_schedule(params: KalmanParams, plant: PitchPlantParams, dt):
-    """The `GainSchedule` of these parameters, shared by every filter that
-    uses them until another set is asked for."""
-    return GainSchedule(params, plant, dt)
-
-
 def _steps(value, dt, what):
     """value/dt as an int; ConfigError unless it is a whole number of steps."""
     if not dt > 0:
@@ -305,92 +278,34 @@ class Actuator:
         return line[:len(servo)]
 
 
-class Kalman:
-    """Linear 2-state filter on [pitch, pitch rate].
+class GainSchedule:
+    """Gains of the first `count` updates of a `Kalman` filter, computed by
+    the constructor and never changed, so filters can share a schedule.
 
     The prediction model is the exact zero-order-hold discretization of the
-    undisturbed rotational plant driven by the deflection torque, so with
-    noise disabled the filter is transparent to machine precision.  Its
-    covariance and gains do not depend on the measurements: the filter
-    reads them from the `GainSchedule` of its parameters and updates only
-    its state.  The first measurement is taken at the initial state, so the
-    first update has no prediction.
+    undisturbed rotational plant driven by the deflection torque: `f01`,
+    `f11` its transition on [pitch, pitch rate], `g0`, `g1` its input.  The
+    covariance starts at the identity, and every update after the first
+    predicts before it updates, as the filter does.  Entry j of the
+    `array('d')` tables `k0`, `k1` is update j's gain on pitch and on rate;
+    `p` is (p00, p01, p11) after the last update.
     """
 
     def __init__(self, params: KalmanParams, plant: PitchPlantParams, dt,
-                 initial_pitch=0.0):
-        self.schedule = gain_schedule(params, plant, dt)
-        self.f01, self.f11 = self.schedule.f01, self.schedule.f11
-        self.g0, self.g1 = self.schedule.g0, self.schedule.g1
-        self.x0 = float(initial_pitch)
-        self.x1 = 0.0
-        self.updates = 0
-
-    def step(self, measurements, controls):
-        """Per step, predict with the control torque held over the step,
-        then update with the measurement; returns the filtered pitches.
-        The first update of the filter reads no control."""
-        start = self.updates
-        self.updates = start + len(measurements)
-        k0s, k1s = self.schedule.gains(start, self.updates)
-        f01, f11, g0, g1 = self.f01, self.f11, self.g0, self.g1
-        x0, x1 = self.x0, self.x1
-        out = []
-        if start == 0 and measurements:
-            innov = measurements[0] - x0
-            x0 += k0s[0] * innov
-            x1 += k1s[0] * innov
-            out.append(x0)
-            measurements, controls = measurements[1:], controls[1:]
-            k0s, k1s = k0s[1:], k1s[1:]
-        for measurement, control, k0, k1 in zip(measurements, controls,
-                                                k0s, k1s):
-            x0 += f01 * x1 + g0 * control
-            x1 = f11 * x1 + g1 * control
-            innov = measurement - x0
-            x0 += k0 * innov
-            x1 += k1 * innov
-            out.append(x0)
-        self.x0, self.x1 = x0, x1
-        return out
-
-
-class GainSchedule:
-    """Gains of a `Kalman` filter's successive updates.
-
-    Entry j of `k0`, `k1` is update j's gain on pitch and on rate.  The
-    covariance starts at the identity, and every update after the first
-    predicts before it updates, as the filter does; `p` is (p00, p01, p11)
-    after the last update computed.  Entries are computed when first asked
-    for and appended, never changed, so filters can share a schedule.  The
-    tables are `array('d')`: 8 bytes an entry, grown in place to the
-    length asked for.
-    """
-
-    def __init__(self, params: KalmanParams, plant: PitchPlantParams, dt):
+                 count):
         Ad, Bd = _zoh(*plant.model(), dt)
         # The transition matrix is upper triangular for this plant; keep the
         # recursion in scalar form so a 10^4-step schedule stays cheap.
-        (_, self.f01), (_, self.f11) = Ad.tolist()
+        (_, f01), (_, f11) = Ad.tolist()
+        self.f01, self.f11 = f01, f11
         self.g0, self.g1 = Bd.tolist()
-        self.q00 = float(params.q_omega * dt)
-        self.q11 = float(params.q_rate * dt)
-        self.r = float(params.r)
+        q00 = float(params.q_omega * dt)
+        q11 = float(params.q_rate * dt)
+        r = float(params.r)
         self.k0, self.k1 = array("d"), array("d")
-        self.p = (1.0, 0.0, 1.0)
-
-    def gains(self, start, stop):
-        """(k0 list, k1 list) of updates start .. stop - 1."""
-        if stop > len(self.k0):
-            self._extend(stop)
-        return self.k0[start:stop].tolist(), self.k1[start:stop].tolist()
-
-    def _extend(self, count):
-        """Compute entries up to `count`: the filter's covariance recursion."""
-        f01, f11, q00, q11, r = self.f01, self.f11, self.q00, self.q11, self.r
-        p00, p01, p11 = self.p
         k0s, k1s = self.k0.append, self.k1.append
-        for j in range(len(self.k0), count):
+        p00, p01, p11 = 1.0, 0.0, 1.0
+        for j in range(count):
             if j:
                 p01f = p01 + f01 * p11
                 p00 += f01 * p01 + f01 * p01f + q00
@@ -405,6 +320,53 @@ class GainSchedule:
             k0s(k0)
             k1s(k1)
         self.p = p00, p01, p11
+
+
+class Kalman:
+    """Linear 2-state filter on [pitch, pitch rate] with the gains of a
+    `GainSchedule`, so with noise disabled it is transparent to machine
+    precision.  It updates only its state.  The first measurement is taken
+    at the initial state, so the first update has no prediction.
+    """
+
+    def __init__(self, schedule: GainSchedule, initial_pitch=0.0):
+        self.schedule = schedule
+        self.x0 = float(initial_pitch)
+        self.x1 = 0.0
+        self.updates = 0
+
+    def step(self, measurements, controls):
+        """Per step, predict with the control torque held over the step,
+        then update with the measurement; returns the filtered pitches.
+        The first update of the filter reads no control.  ValueError, with
+        the filter unchanged, unless there is one control per measurement
+        and the schedule holds a gain for each."""
+        schedule, start = self.schedule, self.updates
+        stop = start + len(measurements)
+        k0s = schedule.k0[start:stop].tolist()
+        k1s = schedule.k1[start:stop].tolist()
+        f01, f11, g0, g1 = schedule.f01, schedule.f11, schedule.g0, schedule.g1
+        x0, x1 = self.x0, self.x1
+        out = []
+        if start == 0 and measurements:
+            # Unpacking raises ValueError, as the zip does, on no control
+            # or an empty schedule.
+            (first, *measurements), (_, *controls) = measurements, controls
+            (k0, *k0s), (k1, *k1s) = k0s, k1s
+            innov = first - x0
+            x0 += k0 * innov
+            x1 += k1 * innov
+            out.append(x0)
+        for measurement, control, k0, k1 in zip(measurements, controls,
+                                                k0s, k1s, strict=True):
+            x0 += f01 * x1 + g0 * control
+            x1 = f11 * x1 + g1 * control
+            innov = measurement - x0
+            x0 += k0 * innov
+            x1 += k1 * innov
+            out.append(x0)
+        self.x0, self.x1, self.updates = x0, x1, stop
+        return out
 
 
 class NoiseSource:

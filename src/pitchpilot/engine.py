@@ -22,13 +22,14 @@ limit; everything else is discrete-time.
 
 A workflow repeats runs that differ only in the controller or the actuator,
 so what those never reach is computed once per configuration and kept for
-the next run: `_plan` holds the time grid k·dt, amplitude·cos(frequency·t)
-for the plant's exact hold and the plant's hold rows, and the Kalman filter
-reads its gains from a `blocks.GainSchedule`.  A run draws its noise in
-one `NoiseSource.sample` call; per window stay the block recursions and
+the next run in one plan, `_plan`: the time grid k·dt,
+amplitude·cos(frequency·t) for the plant's exact hold, the plant's hold
+rows and the Kalman filter's `blocks.GainSchedule`.  A run draws its noise
+in one `NoiseSource.sample` call; per window stay the block recursions and
 the disturbance sine (`disturbance_at`).
 """
 
+import functools
 import io
 import math
 import warnings
@@ -38,10 +39,10 @@ import numpy as np
 import orjson
 
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
-                     DisturbanceParams, Kalman, KalmanParams, Lead,
-                     NoiseParams, NoiseSource, Pid, PidGains,
-                     PitchPlantParams, cache_last, disturbance_at,
-                     finite_prefix, plant_step)
+                     DisturbanceParams, GainSchedule, Kalman, KalmanParams,
+                     Lead, NoiseParams, NoiseSource, Pid, PidGains,
+                     PitchPlantParams, disturbance_at, finite_prefix,
+                     plant_step)
 from .errors import ConfigError, DivergedError, Params, Positive
 
 
@@ -241,9 +242,9 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     act = Actuator(config.actuator, dt, run_steps=n)
     window = len(act.pending) + 1
     noise = NoiseSource(config.noise, dt, scenario.seed).sample(n)
-    kal = (Kalman(config.kalman, config.plant, dt, scenario.initial)
-           if config.kalman.enabled else None)
-    t, d_cos, plant_rows = _plan(dt, n, config.disturbance, config.plant)
+    t, d_cos, plant_rows, schedule = _plan(dt, n, config.disturbance,
+                                           config.plant, config.kalman)
+    kal = Kalman(schedule, scenario.initial) if schedule else None
     (p01, p0u, p0s, p0c), (p11, p1u, p1s, p1c) = plant_rows
 
     omega = float(scenario.initial)
@@ -296,18 +297,43 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
             rates.append(omega_dot)
 
 
+def cache_last(build):
+    """`build` with its last result kept: a call whose arguments have the
+    same reprs as the last call's returns that result without building.
+    Keying on repr, not on equality, keeps apart values that compare equal
+    but compute differently (0.0 and -0.0, 1 and 1.0).  Like
+    functools.lru_cache(maxsize=1), the wrapper has `cache_clear`."""
+    last = {}
+
+    @functools.wraps(build)
+    def cached(*args):
+        key = tuple(map(repr, args))
+        if key not in last:
+            last.clear()
+            last[key] = build(*args)
+        return last[key]
+
+    cached.cache_clear = last.clear
+    return cached
+
+
 @cache_last
-def _plan(dt, n, disturbance: DisturbanceParams, plant: PitchPlantParams):
-    """The gain-independent part of a run of n steps: the time grid k·dt,
-    amplitude·cos(frequency·t) on it and the plant's exact-hold rows
-    (`plant_step`).  The sine stays a per-window `disturbance_at` call."""
+def _plan(dt, n, disturbance: DisturbanceParams, plant: PitchPlantParams,
+          kalman: KalmanParams):
+    """What a run of n steps needs that no controller or actuator setting
+    reaches: the time grid k·dt, amplitude·cos(frequency·t) on it, the
+    plant's exact-hold rows (`plant_step`) and the Kalman filter's n-update
+    `GainSchedule` (None with the filter off).  The sine stays a per-window
+    `disturbance_at` call."""
+    schedule = (GainSchedule(kalman, plant, dt, n) if kalman.enabled
+                else None)
     amp = float(disturbance.amplitude)
     freq = float(disturbance.frequency)
     t = np.arange(n) * dt
     d_cos = np.fromiter((amp * math.cos(freq * (k * dt)) for k in range(n)),
                         float, n)
     t.flags.writeable = d_cos.flags.writeable = False   # shared across runs
-    return t, d_cos, plant_step(plant, disturbance, dt)
+    return t, d_cos, plant_step(plant, disturbance, dt), schedule
 
 
 def run_ab_pair(config: LoopConfig, scenario: Scenario):

@@ -60,6 +60,13 @@ def _quiet(config: LoopConfig) -> LoopConfig:
     return replace(config, noise=replace(config.noise, enabled=False))
 
 
+def _weighted(cost: CostSpec, t_s, m_p, t_r, iae):
+    """w_ts·t_s + w_mp·M_p + w_tr·t_r + w_iae·IAE for the cost and its bound
+    alike: one order of rounding keeps the bound at most the cost."""
+    return (cost.w_ts * t_s + cost.w_mp * m_p + cost.w_tr * t_r
+            + cost.w_iae * iae)
+
+
 class _Stopped(Exception):
     """Raised by `_CostBound` to end a run whose cost reached the ceiling;
     its one argument is the value the run stops with."""
@@ -100,14 +107,11 @@ class _CostBound:
         t_r = step.t_r
         if t_r is None:
             t_r = 0.0 if step.t10 is None else trace.t[k1 - 1] - step.t10
-        cost = self.cost
         iae = self.abs_error * (1 - 4 * len(trace) * 2.0 ** -53) * self.dt
-        # Added as `evaluate` adds them, so rounding keeps the bound at most
-        # the cost.
-        bound = (cost.w_ts * t_s + cost.w_mp * max(float(step.peak), 0.0)
-                 + cost.w_tr * float(t_r) + cost.w_iae * iae)
+        bound = _weighted(self.cost, t_s, max(float(step.peak), 0.0),
+                          float(t_r), iae)
         if bound >= self.ceiling:
-            raise _Stopped(min(bound, cost.divergence_penalty))
+            raise _Stopped(min(bound, self.cost.divergence_penalty))
 
 
 def evaluate(config: LoopConfig, scenario: Scenario, cost: CostSpec,
@@ -135,9 +139,7 @@ def evaluate(config: LoopConfig, scenario: Scenario, cost: CostSpec,
     iae = float(np.sum(np.abs(trace.cmd - trace.omega)) * scenario.dt)
     t_s = m.t_s if m.t_s is not None else scenario.duration
     t_r = m.t_r if math.isfinite(m.t_r) else scenario.duration
-    value = (cost.w_ts * t_s + cost.w_mp * m.m_p
-             + cost.w_tr * t_r + cost.w_iae * iae)
-    return m, value
+    return m, _weighted(cost, t_s, m.m_p, t_r, iae)
 
 
 def sweep(spec: SweepSpec):

@@ -12,7 +12,7 @@ from pitchpilot.aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
                              check_control_margin, static_margin, tail_area,
                              tail_area_ratio)
 from pitchpilot.blocks import Actuator, ActuatorParams, CompensatorParams, \
-    Kalman, KalmanParams, Lead, PitchPlantParams
+    GainSchedule, Kalman, KalmanParams, Lead, PitchPlantParams
 from pitchpilot.engine import Scenario, run_scenario
 from pitchpilot.metrics import band_for_step, noise_envelope, step_metrics
 from pitchpilot.tuner import SweepSpec, sweep
@@ -241,10 +241,10 @@ class TestCriterion7NoiseAmplification:
 
 class TestCriterion8Sizing:
     def test_tail_ratio_and_area(self):
-        inputs = TailSizingInputs()
-        ratio = tail_area_ratio(inputs)
+        inputs, X_CG = TailSizingInputs(), MissileConfig().X_CG
+        ratio = tail_area_ratio(inputs, X_CG)
         assert ratio == pytest.approx(-2.754, rel=0.005)
-        assert tail_area(inputs) == pytest.approx(0.0865, rel=0.005)
+        assert tail_area(inputs, X_CG) == pytest.approx(0.0865, rel=0.005)
 
     def test_static_margin_exact_arithmetic(self):
         cfg = MissileConfig()
@@ -282,12 +282,13 @@ class TestCriterion9OracleEquivalence:
     def test_kalman_gain_matches_riccati_fixed_point(self):
         dt = 0.001
         params = KalmanParams()
-        kal = Kalman(params, PitchPlantParams(), dt=dt)
+        schedule = GainSchedule(params, PitchPlantParams(), dt, 20001)
+        kal = Kalman(schedule)
         kal.step([0.0] * 20000, [0.0] * 20000)
         # The gain the next update will use.
-        (gain_filter,), _ = kal.schedule.gains(kal.updates, kal.updates + 1)
+        gain_filter = schedule.k0[kal.updates]
 
-        F = np.array([[1.0, kal.f01], [0.0, kal.f11]])
+        F = np.array([[1.0, schedule.f01], [0.0, schedule.f11]])
         Q = np.diag([params.q_omega, params.q_rate]) * dt
         H = np.array([[1.0, 0.0]])
         P = np.eye(2)

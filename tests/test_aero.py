@@ -8,6 +8,8 @@ from pitchpilot.aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
                              tail_area_ratio, wing_area_from_span)
 from pitchpilot.errors import DomainError, SingularConfigurationError
 
+X_CG = MissileConfig().X_CG   # the airframe's centre of gravity, 2.5 m
+
 
 class TestWingArea:
     def test_published_value(self):
@@ -33,36 +35,36 @@ class TestWingArea:
 class TestTailSizing:
     def test_default_ratio_and_area(self):
         inputs = TailSizingInputs()
-        assert tail_area_ratio(inputs) == pytest.approx(-2.754, rel=5e-3)
-        assert tail_area(inputs) == pytest.approx(0.0865, rel=5e-3)
+        assert tail_area_ratio(inputs, X_CG) == pytest.approx(-2.754, rel=5e-3)
+        assert tail_area(inputs, X_CG) == pytest.approx(0.0865, rel=5e-3)
 
     def test_no_lifting_surfaces_needs_no_tail(self):
         inputs = replace(TailSizingInputs(), C_Na_body=0.0, C_Na_wing=0.0)
-        assert tail_area_ratio(inputs) == 0.0
+        assert tail_area_ratio(inputs, X_CG) == 0.0
 
     def test_numerator_linear_in_wing_arm(self):
         # Body term zero and X_AC at X_CG isolates the wing term.
-        base = replace(TailSizingInputs(), C_Na_body=0.0, X_AC=2.5, X_CG=2.5)
+        base = replace(TailSizingInputs(), C_Na_body=0.0, X_AC=2.5)
         doubled = replace(base, X_CP_wing=2.5 - 2 * (2.5 - base.X_CP_wing))
-        assert tail_area_ratio(doubled) == pytest.approx(
-            2 * tail_area_ratio(base), rel=1e-12)
+        assert tail_area_ratio(doubled, 2.5) == pytest.approx(
+            2 * tail_area_ratio(base, 2.5), rel=1e-12)
 
     def test_rescaling_invariance(self):
         base = TailSizingInputs()
         for scale in (0.5, 3.0, 17.0):
             scaled = replace(
-                base, d=base.d * scale, X_CG=base.X_CG * scale,
+                base, d=base.d * scale,
                 X_CP_body=base.X_CP_body * scale,
                 X_CP_wing=base.X_CP_wing * scale,
                 X_CP_tail=base.X_CP_tail * scale, X_AC=base.X_AC * scale)
-            assert tail_area_ratio(scaled) == pytest.approx(
-                tail_area_ratio(base), rel=1e-12)
+            assert tail_area_ratio(scaled, X_CG * scale) == pytest.approx(
+                tail_area_ratio(base, X_CG), rel=1e-12)
 
     def test_longer_tail_arm_needs_less_tail(self):
         base = TailSizingInputs()
-        prev = abs(tail_area_ratio(base))
+        prev = abs(tail_area_ratio(base, X_CG))
         for aft in (5.0, 5.5, 6.0, 7.0):
-            cur = abs(tail_area_ratio(replace(base, X_CP_tail=aft)))
+            cur = abs(tail_area_ratio(replace(base, X_CP_tail=aft), X_CG))
             assert cur < prev
             prev = cur
 
@@ -70,7 +72,7 @@ class TestTailSizing:
         # X_CP_tail at X_CG with X_AC = X_CG zeroes the denominator.
         inputs = replace(TailSizingInputs(), X_CP_tail=2.5, X_AC=2.5)
         with pytest.raises(SingularConfigurationError, match="denominator"):
-            tail_area_ratio(inputs)
+            tail_area_ratio(inputs, 2.5)
 
     def test_construction_guards(self):
         with pytest.raises(DomainError):
@@ -80,9 +82,9 @@ class TestTailSizing:
 
     def test_nonfinite_ratio_rejected(self):
         # Finite inputs whose arms overflow: inf - inf makes the ratio nan.
-        inputs = replace(TailSizingInputs(), X_CG=1e308, X_AC=-1e308)
+        inputs = replace(TailSizingInputs(), X_AC=-1e308)
         with pytest.raises(DomainError, match="S_T/S_ref = nan"):
-            tail_area_ratio(inputs)
+            tail_area_ratio(inputs, 1e308)
 
 
 class TestStaticMargin:

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 from scipy.signal import cont2discrete
 
 from pitchpilot.blocks import (Actuator, ActuatorParams, CompensatorParams,
-                               DisturbanceParams, Kalman, KalmanParams, Lead,
-                               NoiseParams, NoiseSource, Pid, PidGains,
-                               PitchPlantParams, _zoh, disturbance_at,
-                               gain_schedule, plant_step)
+                               DisturbanceParams, GainSchedule, Kalman,
+                               KalmanParams, Lead, NoiseParams, NoiseSource,
+                               Pid, PidGains, PitchPlantParams, _zoh,
+                               disturbance_at, plant_step)
 from pitchpilot.errors import ConfigError, DomainError
 
 
@@ -180,16 +180,20 @@ class TestLoopCoefficientsArePythonFloats:
         pid = Pid(params(PidGains), dt)
         lead = Lead(params(CompensatorParams), dt)
         act = Actuator(params(ActuatorParams), dt)
-        kal = Kalman(params(KalmanParams), params(PitchPlantParams), dt,
+        # Two updates, so the schedule's recursion predicts once.
+        kal = Kalman(GainSchedule(params(KalmanParams),
+                                  params(PitchPlantParams), dt, 2),
                      initial_pitch=2.0)
         values = {f"{name}.{attr}": getattr(block, attr)
                   for name, block, attrs in (
                       ("pid", pid, "k_p k_i k_d alpha"),
                       ("lead", lead, "b0 b1 a0 a1"),
                       ("act", act, "a00 a01 a10 a11 b_0 b_1 x0"),
-                      ("kal", kal, "f01 f11 g0 g1 x0"),
-                      ("kal.schedule", kal.schedule, "q00 q11 r"))
+                      ("kal", kal, "x0"),
+                      ("kal.schedule", kal.schedule, "f01 f11 g0 g1"))
                   for attr in attrs.split()}
+        values.update((f"kal.schedule.p[{i}]", v)
+                      for i, v in enumerate(kal.schedule.p))
         rows = plant_step(params(PitchPlantParams),
                           params(DisturbanceParams), dt)
         values.update((f"plant_step[{i}][{j}]", v)
@@ -254,9 +258,9 @@ class TestZoh:
         assert act.b_1 / gain == pytest.approx(unit.b_1, rel=1e-12)
 
 
-def _covariance(kal):
-    """Covariance after the last update of the filter's schedule."""
-    p00, p01, p11 = kal.schedule.p
+def _covariance(schedule):
+    """Covariance after the last update of the schedule."""
+    p00, p01, p11 = schedule.p
     return np.array([[p00, p01], [p01, p11]])
 
 
@@ -264,25 +268,28 @@ class TestKalman:
     plant = PitchPlantParams()
 
     def test_huge_r_ignores_measurement(self):
-        kal = Kalman(KalmanParams(r=1e12), self.plant, dt=0.001, initial_pitch=5.0)
+        kal = Kalman(GainSchedule(KalmanParams(r=1e12), self.plant, 0.001,
+                                  200), initial_pitch=5.0)
         est = kal.step(measurements=[500.0] * 200, controls=[0.0] * 200)[-1]
         assert est == pytest.approx(5.0, abs=1e-3)
 
     def test_tiny_r_tracks_measurement(self):
-        kal = Kalman(KalmanParams(r=1e-12), self.plant, dt=0.001, initial_pitch=0.0)
+        kal = Kalman(GainSchedule(KalmanParams(r=1e-12), self.plant, 0.001,
+                                  1), initial_pitch=0.0)
         est, = kal.step(measurements=[3.21], controls=[0.0])
         assert est == pytest.approx(3.21, abs=1e-6)
 
     def test_steady_state_gain_matches_riccati(self):
         dt = 0.001
         params = KalmanParams()
-        kal = Kalman(params, self.plant, dt=dt)
+        schedule = GainSchedule(params, self.plant, dt, 20001)
+        kal = Kalman(schedule)
         kal.step([0.0] * 20000, [0.0] * 20000)
         # The gain the next update will use.
-        (gain_filter,), _ = kal.schedule.gains(kal.updates, kal.updates + 1)
+        gain_filter = schedule.k0[kal.updates]
 
         # Independent Riccati fixed-point iteration on the same model.
-        F = np.array([[1.0, kal.f01], [0.0, kal.f11]])
+        F = np.array([[1.0, schedule.f01], [0.0, schedule.f11]])
         Q = np.diag([params.q_omega, params.q_rate]) * dt
         H = np.array([[1.0, 0.0]])
         P = np.eye(2)
@@ -293,30 +300,47 @@ class TestKalman:
         assert gain_filter == pytest.approx(float(K[0, 0]), abs=1e-6)
 
     def test_covariance_monotone_and_positive(self):
-        # A fresh schedule is computed as far as this filter has stepped.
-        gain_schedule.cache_clear()
-        kal = Kalman(KalmanParams(), self.plant, dt=0.001)
-        prev = np.trace(_covariance(kal))
-        for _ in range(500):
-            kal.step([0.0], [0.0])
-            cur = np.trace(_covariance(kal))
+        def covariance(count):
+            return _covariance(GainSchedule(KalmanParams(), self.plant,
+                                            0.001, count))
+
+        prev = np.trace(covariance(0))
+        for count in range(1, 501):
+            cov = covariance(count)
+            cur = np.trace(cov)
             assert cur <= prev + 1e-12
-            assert np.all(np.linalg.eigvalsh(_covariance(kal)) > 0)
+            assert np.all(np.linalg.eigvalsh(cov) > 0)
             prev = cur
 
     def test_transparent_for_exact_model(self):
         # Feed measurements generated by the prediction model itself: the
         # innovation stays zero and the estimate reproduces the truth.
         dt = 0.001
-        kal = Kalman(KalmanParams(), self.plant, dt=dt, initial_pitch=2.0)
+        schedule = GainSchedule(KalmanParams(), self.plant, dt, 100)
+        kal = Kalman(schedule, initial_pitch=2.0)
         x = np.array([2.0, 0.0])
-        F = np.array([[1.0, kal.f01], [0.0, kal.f11]])
-        G = np.array([kal.g0, kal.g1])
+        F = np.array([[1.0, schedule.f01], [0.0, schedule.f11]])
+        G = np.array([schedule.g0, schedule.g1])
         for k in range(100):
             u = math.sin(0.1 * k)
             x = F @ x + G * u
             est, = kal.step([x[0]], [u])
             assert est == pytest.approx(x[0], abs=1e-12)
+
+    def test_controls_short_of_the_measurements_raise(self):
+        kal = Kalman(GainSchedule(KalmanParams(), self.plant, 0.001, 3), 1.0)
+        before = dict(vars(kal))
+        with pytest.raises(ValueError):
+            kal.step([1.0, 2.0, 3.0], [0.0])
+        assert vars(kal) == before
+
+    def test_a_window_past_the_schedule_raises(self):
+        kal = Kalman(GainSchedule(KalmanParams(), self.plant, 0.001, 2), 1.0)
+        kal.step([1.0, 2.0], [0.0, 0.0])
+        before = dict(vars(kal))
+        with pytest.raises(ValueError):
+            kal.step([3.0], [0.0])
+        assert vars(kal) == before
 
     def test_r_validation(self):
         with pytest.raises(DomainError):
@@ -466,9 +490,11 @@ class TestWindowSplits:
         def step(kal, window):
             return kal.step([z for z, _ in window], [u for _, u in window])
 
-        _assert_split_invariant(
-            lambda: Kalman(KalmanParams(), PitchPlantParams(), 0.001, 2.0),
-            step, values, cuts)
+        # One schedule for every filter: `vars(block)` holds it.
+        schedule = GainSchedule(KalmanParams(), PitchPlantParams(), 0.001,
+                                len(values))
+        _assert_split_invariant(lambda: Kalman(schedule, 2.0), step, values,
+                                cuts)
 
     @given(values=st.lists(st.floats(0.0, 1e3), max_size=200),
            cuts=cut_points)

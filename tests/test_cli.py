@@ -19,7 +19,7 @@ QUIET = ["--no-noise", *NO_DISTURBANCE]
 HUGE = "9" * 401   # an integer past the float range
 # Overrides that build valid sections but drive a sizing result past the
 # float range, and the result the error names.
-NONFINITE_SIZING = {"tail_sizing.X_CG=1e308 tail_sizing.X_AC=-1e308":
+NONFINITE_SIZING = {"missile.X_CG=1e308 tail_sizing.X_AC=-1e308":
                     "S_T/S_ref = nan",
                     "missile.X_CG=1e308 missile.X_AC=-1e308":
                     "static margin = -inf",
@@ -213,6 +213,14 @@ class TestSize:
         assert "0.0865" in text
         assert "12.50%" in text
         assert "pass" in text
+
+    def test_tail_sizing_reads_the_airframe_centre_of_gravity(self, tmp_path):
+        # TailSizingInputs with X_CG = 2.0 m give the ratio -3.7647.
+        assert run_cli("size", "--out", str(tmp_path),
+                       "--set", "missile.X_CG=2.0") == EXIT_OK
+        text = (tmp_path / "sizing.txt").read_text()
+        assert "tail area ratio S_T/S_ref = -3.7647" in text
+        assert "tail area S_T = 0.1182 m^2" in text
 
 
 @pytest.mark.parametrize("argv", ["size --dt 0.003", "size --duration 1",

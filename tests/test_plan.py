@@ -11,7 +11,7 @@ from scipy.signal import cont2discrete
 
 from pitchpilot.blocks import (ActuatorParams, CompensatorParams,
                                DisturbanceParams, KalmanParams, NoiseParams,
-                               PitchPlantParams, gain_schedule)
+                               PitchPlantParams)
 from pitchpilot.engine import (TRACE_COLUMNS, LoopConfig, Scenario, _plan,
                                run_scenario)
 
@@ -139,7 +139,6 @@ def _bytes(trace):
 
 def _clear_caches():
     _plan.cache_clear()
-    gain_schedule.cache_clear()
 
 
 @pytest.mark.parametrize("tau, lead, kalman, noise", itertools.product(
