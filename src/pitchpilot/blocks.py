@@ -285,8 +285,8 @@ class GainSchedule:
     The prediction model is the exact zero-order-hold discretization of the
     undisturbed rotational plant driven by the deflection torque: `f01`,
     `f11` its transition on [pitch, pitch rate], `g0`, `g1` its input.  The
-    covariance starts at the identity, and every update after the first
-    predicts before it updates, as the filter does.  Entry j of the
+    identity is the covariance of the first prediction; every later update
+    predicts its covariance from the last update's.  Entry j of the
     `array('d')` tables `k0`, `k1` is update j's gain on pitch and on rate;
     `p` is (p00, p01, p11) after the last update.
     """
@@ -325,8 +325,9 @@ class GainSchedule:
 class Kalman:
     """Linear 2-state filter on [pitch, pitch rate] with the gains of a
     `GainSchedule`, so with noise disabled it is transparent to machine
-    precision.  It updates only its state.  The first measurement is taken
-    at the initial state, so the first update has no prediction.
+    precision.  It updates only its state, which starts at rest at
+    `initial_pitch`; each update predicts with its control, then corrects
+    with its measurement.
     """
 
     def __init__(self, schedule: GainSchedule, initial_pitch=0.0):
@@ -337,10 +338,10 @@ class Kalman:
 
     def step(self, measurements, controls):
         """Per step, predict with the control torque held over the step,
-        then update with the measurement; returns the filtered pitches.
-        The first update of the filter reads no control.  ValueError, with
-        the filter unchanged, unless there is one control per measurement
-        and the schedule holds a gain for each."""
+        then update with the measurement, the first update too; returns the
+        filtered pitches.  ValueError, with the filter unchanged, unless
+        there is one control per measurement and the schedule holds a gain
+        for each."""
         schedule, start = self.schedule, self.updates
         stop = start + len(measurements)
         k0s = schedule.k0[start:stop].tolist()
@@ -348,15 +349,6 @@ class Kalman:
         f01, f11, g0, g1 = schedule.f01, schedule.f11, schedule.g0, schedule.g1
         x0, x1 = self.x0, self.x1
         out = []
-        if start == 0 and measurements:
-            # Unpacking raises ValueError, as the zip does, on no control
-            # or an empty schedule.
-            (first, *measurements), (_, *controls) = measurements, controls
-            (k0, *k0s), (k1, *k1s) = k0s, k1s
-            innov = first - x0
-            x0 += k0 * innov
-            x1 += k1 * innov
-            out.append(x0)
         for measurement, control, k0, k1 in zip(measurements, controls,
                                                 k0s, k1s, strict=True):
             x0 += f01 * x1 + g0 * control
@@ -381,12 +373,13 @@ class NoiseSource:
     def sample(self, count):
         """Noise of the run's first `count` steps, drawn afresh every `hold`
         steps by one `normal` call (the same numbers as one call per draw)
-        of a generator seeded anew, so equal calls give equal lists."""
+        of a generator seeded anew, so equal calls give equal lists.  A hold
+        past the run is one draw held to its end."""
         if not self.enabled:
             return [0.0] * count
         draws = np.random.default_rng(self.seed).normal(
             0.0, self.sigma, size=-(-count // self.hold))
-        return np.repeat(draws, self.hold)[:count].tolist()
+        return np.repeat(draws, min(self.hold, count))[:count].tolist()
 
 
 def disturbance_at(params: DisturbanceParams, times):

@@ -200,8 +200,6 @@ def _parse_values(text):
         except ValueError as exc:
             raise ConfigError(f"sweep value '{chunk}' is not a number"
                               " or an integer range lo:hi") from exc
-    if not values:
-        raise ConfigError("empty sweep value list")
     return tuple(values)
 
 

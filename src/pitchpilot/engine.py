@@ -254,9 +254,9 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     rec[:, 1] = cmd
     trace = Trace(*rec.T)
 
-    # The first window is the initial sample alone, filtered by the
-    # Kalman filter's first update, which has no prediction and so reads
-    # no control.
+    # The first window is the initial sample alone; the Kalman filter's
+    # first update predicts with the actuator's rest deflection, which
+    # leaves the prediction at the initial state.
     k0, k1 = 0, 1
     ds = disturbance_at(config.disturbance, [0.0])
     omegas, rates, drive = [omega], [omega_dot], [0.0]

@@ -312,7 +312,9 @@ class TestKalman:
             assert np.all(np.linalg.eigvalsh(cov) > 0)
             prev = cur
 
-    def test_transparent_for_exact_model(self):
+    # The cosine's first control is 1.0: the first update predicts too.
+    @pytest.mark.parametrize("control", [math.sin, math.cos])
+    def test_transparent_for_exact_model(self, control):
         # Feed measurements generated by the prediction model itself: the
         # innovation stays zero and the estimate reproduces the truth.
         dt = 0.001
@@ -322,7 +324,7 @@ class TestKalman:
         F = np.array([[1.0, schedule.f01], [0.0, schedule.f11]])
         G = np.array([schedule.g0, schedule.g1])
         for k in range(100):
-            u = math.sin(0.1 * k)
+            u = control(0.1 * k)
             x = F @ x + G * u
             est, = kal.step([x[0]], [u])
             assert est == pytest.approx(x[0], abs=1e-12)
@@ -371,8 +373,10 @@ class TestNoise:
         assert len(set(values[10:20])) == 1
         assert values[0] != values[10]
 
-    # 250 steps end inside a hold of 3 and of 10 steps.
-    @pytest.mark.parametrize("hold_steps", [1, 3, 10])
+    # 250 steps end inside a hold of 3 and of 10 steps; the two holds past
+    # the run are one draw, not a repeat of 10^18 or 10^303 entries.
+    @pytest.mark.parametrize("hold_steps", [1, 3, 10, 10**18, 10**303],
+                             ids=["1", "3", "10", "10**18", "10**303"])
     def test_one_call_draws_the_scalar_sequence(self, hold_steps):
         params = NoiseParams(sample_time=0.001 * hold_steps)
         src = NoiseSource(params, dt=0.001, seed=11)

@@ -148,6 +148,15 @@ class TestSimulate:
         assert run_cli("simulate", "--out", str(tmp_path), "--set",
                        "loop.actuator.tau=1e300", *QUIET) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["simulate", "ab"])
+    @pytest.mark.parametrize("sample_time", ["1e15", "1e300"])
+    def test_noise_hold_past_the_run_exit_code(self, tmp_path, command,
+                                               sample_time):
+        # One draw is held to the end, not repeated sample_time/dt times.
+        assert run_cli(command, "--duration", "1", "--out", str(tmp_path),
+                       "--set", f"loop.noise.sample_time={sample_time}",
+                       *NO_DISTURBANCE) == EXIT_OK
+
     def test_overflow_in_the_plant_exit_code(self, tmp_path):
         # The plant and the error go non-finite in the same step (48).
         assert run_cli(
