@@ -97,11 +97,6 @@ class PitchPlantParams(Params):
     J_z: Positive = 40.0     # moment of inertia (loop units)
     lam: NonNegative = 6.0   # aerodynamic resistance (torque per unit rate)
 
-    def model(self):
-        """(A, B) of x' = A·x + B·u on x = [pitch, rate], u = net torque."""
-        return (np.array([[0.0, 1.0], [0.0, -self.lam / self.J_z]]),
-                np.array([0.0, 1.0 / self.J_z]))
-
 
 def _zoh(A, B, dt):
     """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u, from
@@ -128,11 +123,14 @@ def _zoh(A, B, dt):
 
 
 def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
-    """Exact ZOH map of the plant and the disturbance oscillator s' = f·c,
-    c' = -f·s (Van Loan 1978): two rows of floats give the pitch increment
-    and next rate from (rate, delta, amp·sin(f·t), amp·cos(f·t)) at the
-    step start."""
-    A, B = plant.model()
+    """Exact zero-order-hold map of the plant J_z·w'' = delta - lam·w' - d,
+    the one place its model is written, with d = amp·sin(f·t) carried as
+    the oscillator s' = f·c, c' = -f·s (Van Loan 1978): two rows of floats
+    give the pitch increment and next rate from (rate, delta, amp·sin(f·t),
+    amp·cos(f·t)) at the step start.  Their first two columns, the plant
+    block of the hold, are the undisturbed plant's own hold."""
+    A = np.array([[0.0, 1.0], [0.0, -plant.lam / plant.J_z]])
+    B = np.array([0.0, 1.0 / plant.J_z])
     f = float(disturbance.frequency)
     Ae = np.zeros((4, 4))
     Ae[:2, :2] = A
@@ -282,23 +280,18 @@ class GainSchedule:
     """Gains of the first `count` updates of a `Kalman` filter, computed by
     the constructor and never changed, so filters can share a schedule.
 
-    The prediction model is the exact zero-order-hold discretization of the
-    undisturbed rotational plant driven by the deflection torque: `f01`,
-    `f11` its transition on [pitch, pitch rate], `g0`, `g1` its input.  The
-    identity is the covariance of the first prediction; every later update
-    predicts its covariance from the last update's.  Entry j of the
-    `array('d')` tables `k0`, `k1` is update j's gain on pitch and on rate;
-    `p` is (p00, p01, p11) after the last update.
+    The prediction model is the undisturbed plant's own hold, the first two
+    columns of the `rows` of `plant_step`: `f01`, `f11` its transition on
+    [pitch, pitch rate], `g0`, `g1` its input.  The identity is the
+    covariance of the first prediction; every later update predicts its
+    covariance from the last update's.  Entry j of the `array('d')` tables
+    `k0`, `k1` is update j's gain on pitch and on rate; `p` is (p00, p01,
+    p11) after the last update.
     """
 
-    def __init__(self, params: KalmanParams, plant: PitchPlantParams, dt,
-                 count):
-        Ad, Bd = _zoh(*plant.model(), dt)
-        # The transition matrix is upper triangular for this plant; keep the
-        # recursion in scalar form so a 10^4-step schedule stays cheap.
-        (_, f01), (_, f11) = Ad.tolist()
-        self.f01, self.f11 = f01, f11
-        self.g0, self.g1 = Bd.tolist()
+    def __init__(self, params: KalmanParams, rows, dt, count):
+        (f01, g0, _, _), (f11, g1, _, _) = rows
+        self.f01, self.f11, self.g0, self.g1 = f01, f11, g0, g1
         q00 = float(params.q_omega * dt)
         q11 = float(params.q_rate * dt)
         r = float(params.r)
@@ -324,10 +317,10 @@ class GainSchedule:
 
 class Kalman:
     """Linear 2-state filter on [pitch, pitch rate] with the gains of a
-    `GainSchedule`, so with noise disabled it is transparent to machine
-    precision.  It updates only its state, which starts at rest at
-    `initial_pitch`; each update predicts with its control, then corrects
-    with its measurement.
+    `GainSchedule`.  It updates only its state, which starts at rest at
+    `initial_pitch`; each update predicts with its control and the plant's
+    own hold, then corrects with its measurement, so on a noise-free,
+    undisturbed plant its estimate is the true pitch bit for bit.
     """
 
     def __init__(self, schedule: GainSchedule, initial_pitch=0.0):

@@ -18,7 +18,8 @@ bit for bit, and one scan per window checks the signals in step order.
 
 The plant advances by its exact zero-order-hold map, with the sinusoidal
 disturbance carried as oscillator states, so its update has no step-size
-limit; everything else is discrete-time.
+limit; everything else is discrete-time.  The Kalman filter predicts with
+the plant's own hold, so without noise or disturbance it is bit-exact.
 
 A workflow repeats runs that differ only in the controller or the actuator,
 so what those never reach is computed once per configuration and kept for
@@ -322,18 +323,18 @@ def _plan(dt, n, disturbance: DisturbanceParams, plant: PitchPlantParams,
           kalman: KalmanParams):
     """What a run of n steps needs that no controller or actuator setting
     reaches: the time grid k·dt, amplitude·cos(frequency·t) on it, the
-    plant's exact-hold rows (`plant_step`) and the Kalman filter's n-update
-    `GainSchedule` (None with the filter off).  The sine stays a per-window
-    `disturbance_at` call."""
-    schedule = (GainSchedule(kalman, plant, dt, n) if kalman.enabled
-                else None)
+    plant's one exact hold (`plant_step`'s rows) and the Kalman filter's
+    n-update `GainSchedule` on those rows (None with the filter off).  The
+    sine stays a per-window `disturbance_at` call."""
+    rows = plant_step(plant, disturbance, dt)
+    schedule = GainSchedule(kalman, rows, dt, n) if kalman.enabled else None
     amp = float(disturbance.amplitude)
     freq = float(disturbance.frequency)
     t = np.arange(n) * dt
     d_cos = np.fromiter((amp * math.cos(freq * (k * dt)) for k in range(n)),
                         float, n)
     t.flags.writeable = d_cos.flags.writeable = False   # shared across runs
-    return t, d_cos, plant_step(plant, disturbance, dt), schedule
+    return t, d_cos, rows, schedule
 
 
 def run_ab_pair(config: LoopConfig, scenario: Scenario):

@@ -12,7 +12,8 @@ from pitchpilot.aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
                              check_control_margin, static_margin, tail_area,
                              tail_area_ratio)
 from pitchpilot.blocks import Actuator, ActuatorParams, CompensatorParams, \
-    GainSchedule, Kalman, KalmanParams, Lead, PitchPlantParams
+    DisturbanceParams, GainSchedule, Kalman, KalmanParams, Lead, \
+    PitchPlantParams, plant_step
 from pitchpilot.engine import Scenario, run_scenario
 from pitchpilot.metrics import band_for_step, noise_envelope, step_metrics
 from pitchpilot.tuner import SweepSpec, sweep
@@ -282,7 +283,8 @@ class TestCriterion9OracleEquivalence:
     def test_kalman_gain_matches_riccati_fixed_point(self):
         dt = 0.001
         params = KalmanParams()
-        schedule = GainSchedule(params, PitchPlantParams(), dt, 20001)
+        rows = plant_step(PitchPlantParams(), DisturbanceParams(), dt)
+        schedule = GainSchedule(params, rows, dt, 20001)
         kal = Kalman(schedule)
         kal.step([0.0] * 20000, [0.0] * 20000)
         # The gain the next update will use.

@@ -180,9 +180,10 @@ class TestLoopCoefficientsArePythonFloats:
         pid = Pid(params(PidGains), dt)
         lead = Lead(params(CompensatorParams), dt)
         act = Actuator(params(ActuatorParams), dt)
+        rows = plant_step(params(PitchPlantParams),
+                          params(DisturbanceParams), dt)
         # Two updates, so the schedule's recursion predicts once.
-        kal = Kalman(GainSchedule(params(KalmanParams),
-                                  params(PitchPlantParams), dt, 2),
+        kal = Kalman(GainSchedule(params(KalmanParams), rows, dt, 2),
                      initial_pitch=2.0)
         values = {f"{name}.{attr}": getattr(block, attr)
                   for name, block, attrs in (
@@ -194,8 +195,6 @@ class TestLoopCoefficientsArePythonFloats:
                   for attr in attrs.split()}
         values.update((f"kal.schedule.p[{i}]", v)
                       for i, v in enumerate(kal.schedule.p))
-        rows = plant_step(params(PitchPlantParams),
-                          params(DisturbanceParams), dt)
         values.update((f"plant_step[{i}][{j}]", v)
                       for i, row in enumerate(rows) for j, v in enumerate(row))
         values["pid.step"], = pid.step([1.0])
@@ -265,16 +264,16 @@ def _covariance(schedule):
 
 
 class TestKalman:
-    plant = PitchPlantParams()
+    rows = plant_step(PitchPlantParams(), DisturbanceParams(), 0.001)
 
     def test_huge_r_ignores_measurement(self):
-        kal = Kalman(GainSchedule(KalmanParams(r=1e12), self.plant, 0.001,
+        kal = Kalman(GainSchedule(KalmanParams(r=1e12), self.rows, 0.001,
                                   200), initial_pitch=5.0)
         est = kal.step(measurements=[500.0] * 200, controls=[0.0] * 200)[-1]
         assert est == pytest.approx(5.0, abs=1e-3)
 
     def test_tiny_r_tracks_measurement(self):
-        kal = Kalman(GainSchedule(KalmanParams(r=1e-12), self.plant, 0.001,
+        kal = Kalman(GainSchedule(KalmanParams(r=1e-12), self.rows, 0.001,
                                   1), initial_pitch=0.0)
         est, = kal.step(measurements=[3.21], controls=[0.0])
         assert est == pytest.approx(3.21, abs=1e-6)
@@ -282,7 +281,7 @@ class TestKalman:
     def test_steady_state_gain_matches_riccati(self):
         dt = 0.001
         params = KalmanParams()
-        schedule = GainSchedule(params, self.plant, dt, 20001)
+        schedule = GainSchedule(params, self.rows, dt, 20001)
         kal = Kalman(schedule)
         kal.step([0.0] * 20000, [0.0] * 20000)
         # The gain the next update will use.
@@ -301,7 +300,7 @@ class TestKalman:
 
     def test_covariance_monotone_and_positive(self):
         def covariance(count):
-            return _covariance(GainSchedule(KalmanParams(), self.plant,
+            return _covariance(GainSchedule(KalmanParams(), self.rows,
                                             0.001, count))
 
         prev = np.trace(covariance(0))
@@ -318,7 +317,7 @@ class TestKalman:
         # Feed measurements generated by the prediction model itself: the
         # innovation stays zero and the estimate reproduces the truth.
         dt = 0.001
-        schedule = GainSchedule(KalmanParams(), self.plant, dt, 100)
+        schedule = GainSchedule(KalmanParams(), self.rows, dt, 100)
         kal = Kalman(schedule, initial_pitch=2.0)
         x = np.array([2.0, 0.0])
         F = np.array([[1.0, schedule.f01], [0.0, schedule.f11]])
@@ -330,14 +329,14 @@ class TestKalman:
             assert est == pytest.approx(x[0], abs=1e-12)
 
     def test_controls_short_of_the_measurements_raise(self):
-        kal = Kalman(GainSchedule(KalmanParams(), self.plant, 0.001, 3), 1.0)
+        kal = Kalman(GainSchedule(KalmanParams(), self.rows, 0.001, 3), 1.0)
         before = dict(vars(kal))
         with pytest.raises(ValueError):
             kal.step([1.0, 2.0, 3.0], [0.0])
         assert vars(kal) == before
 
     def test_a_window_past_the_schedule_raises(self):
-        kal = Kalman(GainSchedule(KalmanParams(), self.plant, 0.001, 2), 1.0)
+        kal = Kalman(GainSchedule(KalmanParams(), self.rows, 0.001, 2), 1.0)
         kal.step([1.0, 2.0], [0.0, 0.0])
         before = dict(vars(kal))
         with pytest.raises(ValueError):
@@ -495,8 +494,10 @@ class TestWindowSplits:
             return kal.step([z for z, _ in window], [u for _, u in window])
 
         # One schedule for every filter: `vars(block)` holds it.
-        schedule = GainSchedule(KalmanParams(), PitchPlantParams(), 0.001,
-                                len(values))
+        schedule = GainSchedule(
+            KalmanParams(),
+            plant_step(PitchPlantParams(), DisturbanceParams(), 0.001),
+            0.001, len(values))
         _assert_split_invariant(lambda: Kalman(schedule, 2.0), step, values,
                                 cuts)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pitchpilot import engine
+from pitchpilot import blocks, engine
 from pitchpilot.blocks import (ActuatorParams, CompensatorParams,
                                DisturbanceParams, KalmanParams, NoiseParams,
                                NoiseSource, PidGains, PitchPlantParams)
@@ -103,6 +103,30 @@ class TestRunScenario:
         assert np.all(trace.delta == 0.0)
         assert np.max(np.abs(trace.omega_dot - rate)) < 1e-12
         assert np.max(np.abs(trace.omega - pitch)) < 1e-12
+
+    @pytest.mark.parametrize("lead", [False, True], ids=["A", "B"])
+    @pytest.mark.parametrize("dt", [0.001, 0.005])
+    @pytest.mark.parametrize("frequency", [0.0, 1.0, 5.0, 50.0])
+    def test_noise_free_filter_is_the_plant(self, quiet_config, frequency,
+                                            dt, lead):
+        # The filter predicts with the plant's own hold coefficients, so on
+        # the undisturbed plant every innovation is exactly zero, whatever
+        # frequency the zero-amplitude oscillator in that hold has.
+        cfg = replace(quiet_config,
+                      compensator=CompensatorParams(enabled=lead),
+                      disturbance=DisturbanceParams(0.0, frequency))
+        trace = run_scenario(cfg, Scenario(dt=dt))
+        assert np.array_equal(trace.omega_filt, trace.omega)
+
+    def test_a_plan_holds_the_plant_once(self, monkeypatch):
+        calls = []
+        zoh = blocks._zoh
+        monkeypatch.setattr(blocks, "_zoh",
+                            lambda *args: calls.append(args) or zoh(*args))
+        engine._plan.cache_clear()
+        engine._plan(0.001, 11, DisturbanceParams(), PitchPlantParams(),
+                     KalmanParams())
+        assert len(calls) == 1
 
     def test_diverged_run_carries_step_index(self, quiet_config):
         cfg = replace(quiet_config, pid=PidGains(k_p=1e9, k_i=0, k_d=1e9))

@@ -54,7 +54,9 @@ def reference_run(config: LoopConfig, scenario: Scenario):
 
     amp = float(config.disturbance.amplitude)
     freq = float(config.disturbance.frequency)
-    A, B = config.plant.model()
+    J_z, lam = config.plant.J_z, config.plant.lam
+    A = np.array([[0.0, 1.0], [0.0, -lam / J_z]])
+    B = np.array([0.0, 1.0 / J_z])
     Ae = np.zeros((4, 4))
     Ae[:2, :2] = A
     Ae[:2, 2] = -B
@@ -71,7 +73,8 @@ def reference_run(config: LoopConfig, scenario: Scenario):
     v = 0.0
 
     kal = config.kalman
-    ((_, f01), (_, f11)), (g0, g1) = _hold(A, B, dt)
+    # The filter predicts with the plant's own hold, without the disturbance.
+    f01, g0, f11, g1 = p01, p0u, p11, p1u
     q00, q11, r = float(kal.q_omega * dt), float(kal.q_rate * dt), float(kal.r)
     x0, x1 = float(scenario.initial), 0.0
     P00, P01, P11 = 1.0, 0.0, 1.0
@@ -150,6 +153,17 @@ def test_reference_loop_is_bit_identical(tau, lead, kalman, noise):
         disturbance=DISTURBANCE,
         noise=NoiseParams(enabled=noise),
         kalman=KalmanParams(enabled=kalman))
+    scenario = Scenario(duration=2.0, seed=3)
+    assert _bytes(run_scenario(config, scenario)) == \
+        reference_run(config, scenario).tobytes()
+
+
+def test_reference_loop_under_a_fast_disturbance():
+    # At 50 rad/s a separate hold of the plant alone rounds unlike the
+    # plant block of its hold with the oscillator: the filter must predict
+    # with the latter, the plant the loop runs.
+    config = LoopConfig(
+        disturbance=replace(DISTURBANCE, frequency=50.0))
     scenario = Scenario(duration=2.0, seed=3)
     assert _bytes(run_scenario(config, scenario)) == \
         reference_run(config, scenario).tobytes()
