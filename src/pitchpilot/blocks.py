@@ -15,8 +15,8 @@ The module keeps no cache: `engine._plan` holds one schedule per
 configuration.
 
 Step methods do not check their inputs: a non-finite value runs through the
-recursion like any other, and `engine.run_scenario`, which scans every
-window's signals, decides where a run diverged.
+recursion like any other, and `engine.run_scenario`, which checks every
+signal it records, decides where a run diverged.
 
 Every coefficient a block reads per step is a Python float, converted once
 in `__init__`: a numpy scalar would send each step's arithmetic through
@@ -98,9 +98,11 @@ class PitchPlantParams(Params):
     lam: NonNegative = 6.0   # aerodynamic resistance (torque per unit rate)
 
 
-def _zoh(A, B, dt):
+def _zoh(A, B, dt, *params):
     """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u, from
-    one matrix exponential of [[A, B], [0, 0]]·dt (Van Loan 1978)."""
+    one matrix exponential of [[A, B], [0, 0]]·dt (Van Loan 1978).  A hold
+    that is not finite is a ConfigError naming `params`, the parameter sets
+    A and B were built from."""
     if not dt > 0:
         raise ConfigError("dt must be > 0")
     # expm picks its scaling from the norm of the whole matrix, so a B far
@@ -117,8 +119,8 @@ def _zoh(A, B, dt):
         Md = expm(M * dt)
         Ad, Bd = Md[:n, :n], np.ldexp(Md[:n, n], shift)
     if not (np.isfinite(Ad).all() and np.isfinite(Bd).all()):
-        raise ConfigError(f"no finite zero-order hold of A={A.tolist()},"
-                          f" B={B.tolist()} at dt={dt}")
+        raise ConfigError(f"no finite zero-order hold of"
+                          f" {', '.join(map(repr, params))} at dt={dt}")
     return Ad, Bd
 
 
@@ -136,18 +138,9 @@ def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
     Ae[:2, :2] = A
     Ae[:2, 2] = -B
     Ae[2, 3], Ae[3, 2] = f, -f
-    Ad, Bd = _zoh(Ae, np.concatenate((B, [0.0, 0.0])), dt)
+    Ad, Bd = _zoh(Ae, np.concatenate((B, [0.0, 0.0])), dt, plant,
+                  disturbance)
     return np.column_stack((Ad[:2, 1], Bd[:2], Ad[:2, 2:])).tolist()
-
-
-def finite_prefix(values):
-    """Number of leading finite entries of the sequence `values`."""
-    # One C-level sum clears the common all-finite case: an inf or nan entry
-    # always makes the sum non-finite (the converse can fail by overflow).
-    if math.isfinite(sum(values)):
-        return len(values)
-    return next((i for i, v in enumerate(values) if not math.isfinite(v)),
-                len(values))
 
 
 def _steps(value, dt, what):
@@ -247,7 +240,7 @@ class Actuator:
         wn2 = params.wn * params.wn   # `**` raises OverflowError past 1e154
         A = np.array([[0.0, 1.0], [-wn2, -2.0 * params.mu * params.wn]])
         B = np.array([0.0, params.gain * wn2])
-        Ad, Bd = _zoh(A, B, dt)
+        Ad, Bd = _zoh(A, B, dt, params)
         n_slots = min(_steps(params.tau, dt, "actuator delay tau"), run_steps)
         (self.a00, self.a01), (self.a10, self.a11) = Ad.tolist()
         self.b_0, self.b_1 = Bd.tolist()

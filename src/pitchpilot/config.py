@@ -7,7 +7,7 @@ value, so an empty file reproduces the compensated system B.
 """
 
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 
 from .aero import AeroDerivatives, MissileConfig, TailSizingInputs
 from .engine import LoopConfig, Scenario
@@ -24,15 +24,9 @@ SECTIONS = {
 }
 
 
-def _defaults(cls):
-    return {f.name: (f.default if f.default_factory is MISSING
-                     else _defaults(f.default_factory))
-            for f in fields(cls)}
-
-
 def default_config():
     """The full default configuration document."""
-    return {name: _defaults(cls) for name, cls in SECTIONS.items()}
+    return {name: asdict(cls()) for name, cls in SECTIONS.items()}
 
 
 def _merge(base, override, path=""):

@@ -14,7 +14,8 @@ actuator's last output and its pending delay line, and the Kalman filter, on
 the pitches plus the window's noise, run over the window; then PID -> lead
 -> actuator run on the filtered pitches.  Each block does the same
 operations in the same order as a one-step loop, so the trace is the same
-bit for bit, and one scan per window checks the signals in step order.
+bit for bit.  Once a window's rows are recorded, one check of those rows
+finds the first step, and in it the first signal, that is not finite.
 
 The plant advances by its exact zero-order-hold map, with the sinusoidal
 disturbance carried as oscillator states, so its update has no step-size
@@ -42,8 +43,7 @@ import orjson
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, GainSchedule, Kalman, KalmanParams,
                      Lead, NoiseParams, NoiseSource, Pid, PidGains,
-                     PitchPlantParams, disturbance_at, finite_prefix,
-                     plant_step)
+                     PitchPlantParams, disturbance_at, plant_step)
 from .errors import ConfigError, DivergedError, Params, Positive
 
 
@@ -224,11 +224,12 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
                  watch=None) -> Trace:
     """Simulate the closed loop once and return the full Trace.
 
-    Deterministic given (config, scenario).  Raises DivergedError with the
-    offending step index if any signal goes non-finite.  `watch(trace, k0,
-    k1)`, if given, is called after each window but the last, once rows
-    k0..k1-1 of the returned Trace's columns are checked and recorded
-    (later rows are not yet written); it may end the run by raising.
+    Deterministic given (config, scenario).  Raises DivergedError at the
+    first step whose row of the Trace holds a value that is not finite,
+    naming the first such column.  `watch(trace, k0, k1)`, if given, is
+    called after each window but the last, once rows k0..k1-1 of the
+    returned Trace's columns are recorded and checked (later rows are not
+    yet written); it may end the run by raising.
     """
     dt = float(scenario.dt)
     try:
@@ -268,12 +269,16 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
         u_pid = pid.step(errors)
         u_lead = lead.step(u_pid) if lead else u_pid
         delta = act.step(u_lead)
-        bad = min(finite_prefix(x) for x in (omegas, errors, u_pid, delta))
-        if bad < len(errors):
-            raise DivergedError(k0 + bad)
-        for col, values in enumerate((omegas, rates, meas, filt, errors,
-                                      u_pid, u_lead, delta, ds), start=2):
-            rec[k0:k1, col] = values
+        # The window's signals, one list per trace column after t and cmd.
+        rows = rec[k0:k1]
+        rows.T[2:] = (omegas, rates, meas, filt, errors, u_pid, u_lead, delta,
+                      ds)
+        finite = np.isfinite(rows)
+        if not finite.all():
+            # The first False in row-major order: the earliest step, and in
+            # it the first signal in column order.
+            step, col = divmod(int(finite.argmin()), len(TRACE_COLUMNS))
+            raise DivergedError(k0 + step, TRACE_COLUMNS[col])
         if k1 == n:
             return trace
         if watch:
@@ -349,7 +354,7 @@ def run_ab_pair(config: LoopConfig, scenario: Scenario):
         try:
             traces.append(run_scenario(cfg, scenario))
         except DivergedError as exc:
-            raise DivergedError(exc.step, leg=leg) from exc
+            raise DivergedError(exc.step, exc.signal, leg) from exc
     return tuple(traces)
 
 

@@ -28,14 +28,17 @@ class DivergedError(PitchPilotError):
 
     Attributes:
         step: index of the step at which the signal went non-finite.
+        signal: optional name of that signal, a trace column.
         leg: optional tag ("A" or "B") for paired runs.
     """
 
-    def __init__(self, step, leg=None):
+    def __init__(self, step, signal=None, leg=None):
         self.step = step
+        self.signal = signal
         self.leg = leg
+        where = f" in {signal}" if signal else ""
         tag = f" (leg {leg})" if leg else ""
-        super().__init__(f"simulation diverged at step {step}{tag}")
+        super().__init__(f"simulation diverged at step {step}{where}{tag}")
 
 
 class NoResponseError(PitchPilotError):

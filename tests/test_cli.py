@@ -142,6 +142,20 @@ class TestSimulate:
                        "--set", "loop.pid.k_d=1e9", *QUIET)
         assert code == EXIT_DIVERGED
 
+    @pytest.mark.parametrize("override, named", [
+        ("loop.plant.J_z=1e-300", "PitchPlantParams(J_z=1e-300"),
+        ("loop.actuator.wn=1e200", "ActuatorParams("),
+        ("loop.actuator.gain=1e308", "ActuatorParams(gain=1e+308"),
+        ("loop.disturbance.frequency=1e300", "DisturbanceParams(")])
+    def test_hold_past_the_float_range_names_its_parameters(
+            self, tmp_path, capsys, override, named):
+        assert run_cli("simulate", "--out", str(tmp_path),
+                       "--set", override) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no finite zero-order hold" in err
+        assert named in err
+        assert "A=[[" not in err
+
     def test_delay_past_the_run_exit_code(self, tmp_path):
         # The delay line is cut at the run length instead of allocating
         # tau/dt entries.
@@ -335,8 +349,12 @@ def test_unwritable_output_exit_code(tmp_path, capsys, command, name):
      EXIT_CONFIG),
     (["ab", "--duration", "0.002"], EXIT_CONFIG),     # no response yet
     (["simulate", "--set", "loop.pid.k_p=1e9", "--set", "loop.pid.k_d=1e9",
-      *QUIET], EXIT_DIVERGED)],
-    ids=["degenerate-step", "no-response", "diverged"])
+      *QUIET], EXIT_DIVERGED),
+    # The lead output overflows at step 303, the deflection only at 403,
+    # after the run's last step.
+    (["simulate", "--no-noise", "--duration", "0.35", "--set",
+      "loop.compensator.a=1e100"], EXIT_DIVERGED)],
+    ids=["degenerate-step", "no-response", "diverged", "lead-overflow"])
 def test_step_error_writes_nothing(tmp_path, argv, code):
     assert run_cli(*argv, "--out", str(tmp_path)) == code
     assert list(tmp_path.iterdir()) == []

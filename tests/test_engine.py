@@ -177,16 +177,19 @@ class TestWindows:
                 assert (getattr(part, name).tobytes()
                         == getattr(full, name)[:len(part)].tobytes()), name
 
-    # In the first three runs a PID error goes non-finite later in the
-    # window that diverges, so the checks must run in step order to report
-    # the divergence; those steps were measured on the per-step loop.  In
-    # the last, the plant overflows in the same step as the error.
+    # In the first two runs the deflection goes non-finite first and a PID
+    # error only later in the same window, so the check must report the
+    # earliest row; those steps were measured on the per-step loop.  In the
+    # third the lead output goes non-finite first, five steps before the
+    # deflection and six before a PID error.  In the last, the plant
+    # overflows in the same step as the error.  tests/test_plan.py checks
+    # all four steps against the one-step reference loop.
     @pytest.mark.parametrize("config, duration, step", [
         *(pytest.param(LoopConfig(actuator=ActuatorParams(gain=gain),
                                   compensator=CompensatorParams(a=a)),
                        10.0, step, id=f"{gain}-{a}-{step}")
           for gain, a, step in ((1e6, 11.0, 9244), (5e4, 1e3, 8084),
-                                (5e3, 1e300, 106))),
+                                (5e3, 1e300, 101))),
         pytest.param(LoopConfig(
             pid=PidGains(k_p=3143279.220717917, k_d=0),
             actuator=ActuatorParams(gain=4614188.555029062, tau=0.001),
@@ -198,6 +201,27 @@ class TestWindows:
         with pytest.raises(DivergedError) as excinfo:
             run_scenario(config, Scenario(duration=duration))
         assert excinfo.value.step == step
+
+    def test_diverged_run_names_its_signal(self):
+        # The lead output overflows a full loop delay before the deflection.
+        cfg = LoopConfig(compensator=CompensatorParams(a=1e100),
+                         noise=NoiseParams(enabled=False))
+        with pytest.raises(DivergedError) as excinfo:
+            run_scenario(cfg, Scenario(duration=10.0))
+        assert (excinfo.value.step, excinfo.value.signal) == (303, "u_lead")
+        assert str(excinfo.value) == \
+            "simulation diverged at step 303 in u_lead"
+
+    def test_rows_summing_past_the_float_range_are_finite(self):
+        # Every value is finite, but a row's sum overflows: a check by sum
+        # alone would call this run diverged.
+        cfg = LoopConfig(noise=NoiseParams(enabled=False),
+                         disturbance=DisturbanceParams(amplitude=0.0))
+        trace = run_scenario(cfg, Scenario(initial=1e308, command=1e308,
+                                           duration=1.0))
+        assert len(trace) == 1001
+        assert np.isfinite(np.stack([getattr(trace, name)
+                                     for name in TRACE_COLUMNS])).all()
 
     @pytest.mark.parametrize("tau", [20.0, 1e300])
     def test_delay_past_the_run_holds_its_preload(self, tau):
@@ -288,6 +312,16 @@ class TestAbPair:
         with pytest.raises(DivergedError) as excinfo:
             run_ab_pair(cfg, Scenario(duration=10.0))
         assert excinfo.value.leg == "A"
+
+    def test_diverged_leg_keeps_its_signal(self):
+        # Without the lead the loop holds; with a = 1e100 it diverges.
+        cfg = LoopConfig(compensator=CompensatorParams(a=1e100),
+                         noise=NoiseParams(enabled=False))
+        with pytest.raises(DivergedError) as excinfo:
+            run_ab_pair(cfg, Scenario(duration=10.0))
+        exc = excinfo.value
+        assert (exc.step, exc.signal, exc.leg) == (303, "u_lead", "B")
+        assert str(exc) == "simulation diverged at step 303 in u_lead (leg B)"
 
 
 class TestStabilityProbe:

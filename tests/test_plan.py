@@ -1,5 +1,6 @@
 """The per-configuration plan changes no trace: an independent one-step
-reference loop, and a cache that cannot alias configurations."""
+reference loop, and a cache that cannot alias configurations.  The same
+loop places a diverged run's step and signal."""
 
 import itertools
 import math
@@ -11,9 +12,10 @@ from scipy.signal import cont2discrete
 
 from pitchpilot.blocks import (ActuatorParams, CompensatorParams,
                                DisturbanceParams, KalmanParams, NoiseParams,
-                               PitchPlantParams)
+                               PidGains, PitchPlantParams)
 from pitchpilot.engine import (TRACE_COLUMNS, LoopConfig, Scenario, _plan,
                                run_scenario)
+from pitchpilot.errors import DivergedError
 
 DISTURBANCE = DisturbanceParams(amplitude=2.0, frequency=5.0)
 
@@ -181,6 +183,37 @@ def test_noise_drawn_per_window_is_bit_identical(seed, sample_time):
     scenario = Scenario(duration=2.0, seed=seed)
     assert _bytes(run_scenario(config, scenario)) == \
         reference_run(config, scenario).tobytes()
+
+
+# The four runs of tests/test_engine.py's divergence steps, and a lead whose
+# output overflows a full loop delay before the deflection does.
+DIVERGING = [
+    *((LoopConfig(actuator=ActuatorParams(gain=gain),
+                  compensator=CompensatorParams(a=a)), 10.0)
+      for gain, a in ((1e6, 11.0), (5e4, 1e3), (5e3, 1e300))),
+    (LoopConfig(pid=PidGains(k_p=3143279.220717917, k_d=0),
+                actuator=ActuatorParams(gain=4614188.555029062, tau=0.001),
+                plant=PitchPlantParams(J_z=1.4568900730998578e-08, lam=0),
+                kalman=KalmanParams(enabled=False)), 2.0),
+    (LoopConfig(compensator=CompensatorParams(a=1e100),
+                noise=NoiseParams(enabled=False)), 10.0)]
+
+
+@pytest.mark.parametrize("config, duration", DIVERGING,
+                         ids=["gain-1e6", "gain-5e4-a-1e3", "gain-5e3-a-1e300",
+                              "plant-and-error", "a-1e100-no-noise"])
+def test_divergence_step_is_the_first_non_finite_row(config, duration):
+    # The reference loop runs on through overflow, so its first row holding
+    # a value that is not finite, and that row's first such column, are
+    # where the run diverged.
+    scenario = Scenario(duration=duration)
+    ref = ~np.isfinite(reference_run(config, scenario))
+    step = int(ref.any(axis=1).argmax())
+    assert ref[step].any()
+    with pytest.raises(DivergedError) as excinfo:
+        run_scenario(config, scenario)
+    assert (excinfo.value.step, excinfo.value.signal) == \
+        (step, TRACE_COLUMNS[int(ref[step].argmax())])
 
 
 @pytest.mark.parametrize("field", ["amplitude", "frequency"])
