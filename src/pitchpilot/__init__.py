@@ -2,7 +2,7 @@
 
 from .aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
                    check_control_margin, static_margin, static_margin_calibers,
-                   tail_area, tail_area_ratio, wing_area_from_span)
+                   tail_area_ratio, wing_area_from_span)
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, GainSchedule, Kalman, KalmanParams,
                      Lead, NoiseParams, NoiseSource, Pid, PidGains,

@@ -81,7 +81,7 @@ def tail_area_ratio(inputs: TailSizingInputs, X_CG):
     contributions against the tail arm; the denominator applies to the
     static-margin term only, matching the printed grouping of the source
     sizing equation.  Arms are normalized by `inputs.d`.  The result can be
-    negative; see tail_area for the magnitude convention.
+    negative; `sizing_report` gives the tail area as |S_T/S_ref|·S_ref.
     """
     d = inputs.d
     sw_ratio = inputs.S_W / inputs.S_ref
@@ -101,11 +101,6 @@ def tail_area_ratio(inputs: TailSizingInputs, X_CG):
     margin_term = (inputs.C_Na_body + inputs.C_Na_wing * sw_ratio) * margin_arm
     return _finite_result(body_term + wing_term + margin_term / denom,
                           "tail area ratio S_T/S_ref")
-
-
-def tail_area(inputs: TailSizingInputs, X_CG):
-    """Tail area |S_T/S_ref|·S_ref; the ratio's sign is left to the caller."""
-    return abs(tail_area_ratio(inputs, X_CG)) * inputs.S_ref
 
 
 def static_margin(X_AC, X_CG, l_M):

@@ -170,7 +170,7 @@ def cmd_ab(args, cfg):
     lines.append(f"  peak overshoot: {improvement(m_a.m_p, m_b.m_p)} %")
     if loop.noise.enabled:
         for leg, trace in (("A", trace_a), ("B", trace_b)):
-            mx, mn, _ = noise_envelope(trace, scenario.duration / 2)
+            mx, mn = noise_envelope(trace, scenario.duration / 2)
             lines.append(f"Noise envelope {leg}: max {fixed(mx, '.3f')}"
                          f" min {fixed(mn, '.3f')} deg")
     report = "\n".join(lines) + "\n"

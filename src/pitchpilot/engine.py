@@ -84,7 +84,9 @@ class Scenario(Params):
                 " (need dt <= 0.005)")
 
 
-@dataclass(frozen=True)
+# A trace compares and hashes by identity: field-wise equality over numpy
+# columns would raise.
+@dataclass(frozen=True, eq=False)
 class Trace:
     """Uniformly sampled record of every loop signal, one value per step."""
 

@@ -185,13 +185,9 @@ def devaud_report(metrics: StepMetrics) -> str:
 
 
 def noise_envelope(trace, window_start):
-    """(max, min, variance) of the loop error over [window_start, end]."""
+    """(max, min) of the loop error over [window_start, end]."""
     t = np.asarray(trace.t, dtype=float)
     if not window_start < t[-1]:
         raise DomainError("window_start must precede the end of the trace")
     err = np.asarray(trace.error, dtype=float)[t >= window_start]
-    mx, mn = float(err.max()), float(err.min())
-    # Scaled by a power of two, err.var() cannot overflow and scales back to
-    # the same float; a variance past the float range is inf, not a warning.
-    scale = 2.0 ** (math.frexp(max(mx, -mn))[1] - 1)
-    return mx, mn, float((err / scale).var()) * scale * scale
+    return float(err.max()), float(err.min())

@@ -9,8 +9,8 @@ from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 from scipy.signal import cont2discrete
 
 from pitchpilot.aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
-                             check_control_margin, static_margin, tail_area,
-                             tail_area_ratio)
+                             check_control_margin, sizing_report,
+                             static_margin, tail_area_ratio)
 from pitchpilot.blocks import Actuator, ActuatorParams, CompensatorParams, \
     DisturbanceParams, GainSchedule, Kalman, KalmanParams, Lead, \
     PitchPlantParams, plant_step
@@ -234,7 +234,7 @@ class TestCriterion7NoiseAmplification:
     def test_b_envelope_bracket(self, noise_pairs):
         hits = 0
         for trace_a, trace_b in noise_pairs.values():
-            mx, mn, _ = noise_envelope(trace_b, 5.0)
+            mx, mn = noise_envelope(trace_b, 5.0)
             if 0.08 <= mx <= 0.35 and 0.10 <= abs(mn) <= 0.40:
                 hits += 1
         assert hits >= 8
@@ -242,10 +242,13 @@ class TestCriterion7NoiseAmplification:
 
 class TestCriterion8Sizing:
     def test_tail_ratio_and_area(self):
-        inputs, X_CG = TailSizingInputs(), MissileConfig().X_CG
-        ratio = tail_area_ratio(inputs, X_CG)
+        inputs, airframe = TailSizingInputs(), MissileConfig()
+        ratio = tail_area_ratio(inputs, airframe.X_CG)
         assert ratio == pytest.approx(-2.754, rel=0.005)
-        assert tail_area(inputs, X_CG) == pytest.approx(0.0865, rel=0.005)
+        report = sizing_report(airframe, AeroDerivatives(), inputs)
+        (line,) = [line for line in report.splitlines()
+                   if line.startswith("tail area S_T =")]
+        assert float(line.split()[4]) == pytest.approx(0.0865, rel=0.005)
 
     def test_static_margin_exact_arithmetic(self):
         cfg = MissileConfig()

@@ -1,14 +1,23 @@
+import math
 from dataclasses import fields, replace
 
 import pytest
 
 from pitchpilot.aero import (AeroDerivatives, MissileConfig, TailSizingInputs,
                              check_control_margin, sizing_report,
-                             static_margin, static_margin_calibers, tail_area,
+                             static_margin, static_margin_calibers,
                              tail_area_ratio, wing_area_from_span)
 from pitchpilot.errors import DomainError, SingularConfigurationError
 
 X_CG = MissileConfig().X_CG   # the airframe's centre of gravity, 2.5 m
+
+
+def _reported_tail_area(tail):
+    """S_T (m²) as the sizing report prints it for the default airframe."""
+    report = sizing_report(MissileConfig(), AeroDerivatives(), tail)
+    (line,) = [line for line in report.splitlines()
+               if line.startswith("tail area S_T =")]
+    return float(line.split()[4])
 
 
 class TestWingArea:
@@ -36,7 +45,23 @@ class TestTailSizing:
     def test_default_ratio_and_area(self):
         inputs = TailSizingInputs()
         assert tail_area_ratio(inputs, X_CG) == pytest.approx(-2.754, rel=5e-3)
-        assert tail_area(inputs, X_CG) == pytest.approx(0.0865, rel=5e-3)
+        assert _reported_tail_area(inputs) == pytest.approx(0.0865, rel=5e-3)
+
+    def test_area_independent_of_reference_area_without_body_lift(self):
+        # With no body lift (the default) every term of the ratio scales
+        # with S_W/S_ref, so S_T = |ratio|·S_ref does not move with S_ref.
+        # Body lift adds a term that does not scale, and S_T moves.
+        def areas(C_Na_body):
+            return [abs(tail_area_ratio(replace(TailSizingInputs(), S_ref=s,
+                                                C_Na_body=C_Na_body),
+                                        X_CG)) * s
+                    for s in (0.0314, math.pi / 4 * 0.2 ** 2,
+                              math.pi / 4 * 0.3 ** 2)]
+
+        without = areas(0.0)
+        assert without == pytest.approx([without[0]] * 3, rel=1e-12)
+        with_body = areas(0.1)
+        assert with_body[2] != pytest.approx(with_body[0], rel=1e-2)
 
     def test_no_lifting_surfaces_needs_no_tail(self):
         inputs = replace(TailSizingInputs(), C_Na_body=0.0, C_Na_wing=0.0)

@@ -213,8 +213,8 @@ class TestAb:
         assert np.max(np.abs(a.omega - b.omega)) < 1e-9
 
     def test_overflowing_noise_envelope(self, tmp_path):
-        # Errors near 1e300 square past the float range in the envelope's
-        # variance, which must not warn (an error under the pytest filter).
+        # Errors near 1e300 reach the report's noise envelope, which must
+        # print them without a warning (an error under the pytest filter).
         assert run_cli("ab", "--out", str(tmp_path), "--set",
                        "scenario.initial=1e300", "--set",
                        "loop.actuator.tau=0.01") == EXIT_OK
