@@ -18,9 +18,11 @@ Step methods do not check their inputs: a non-finite value runs through the
 recursion like any other, and `engine.run_scenario`, which checks every
 signal it records, decides where a run diverged.
 
-Every coefficient a block reads per step is a Python float, converted once
-in `__init__`: a numpy scalar would send each step's arithmetic through
-numpy's scalar machinery, about twice as slow as Python's float path.
+Every coefficient a block reads per step is a Python float, because
+`errors.Params` stores real fields as floats and `engine.run_scenario`
+passes the float `Scenario.dt`: a numpy scalar would send each step's
+arithmetic through numpy's scalar machinery, about twice as slow as
+Python's float path.
 """
 
 import math
@@ -133,7 +135,7 @@ def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
     block of the hold, are the undisturbed plant's own hold."""
     A = np.array([[0.0, 1.0], [0.0, -plant.lam / plant.J_z]])
     B = np.array([0.0, 1.0 / plant.J_z])
-    f = float(disturbance.frequency)
+    f = disturbance.frequency
     Ae = np.zeros((4, 4))
     Ae[:2, :2] = A
     Ae[:2, 2] = -B
@@ -169,10 +171,9 @@ class Pid:
     def __init__(self, gains: PidGains, dt):
         if not dt > 0:
             raise ConfigError("dt must be > 0")
-        self.k_p, self.k_i, self.k_d = (
-            float(gains.k_p), float(gains.k_i), float(gains.k_d))
-        self.dt = float(dt)
-        self.alpha = float(dt / (gains.tau_f + dt))
+        self.k_p, self.k_i, self.k_d = gains.k_p, gains.k_i, gains.k_d
+        self.dt = dt
+        self.alpha = dt / (gains.tau_f + dt)
         self.integral = 0.0
         self.d_filt = 0.0
         self.prev_error = 0.0
@@ -207,10 +208,10 @@ class Lead:
                 f"dt={dt} too coarse for lead time constant T={params.T}"
                 " (need dt <= T/2)")
         c = 2.0 * params.T / dt
-        self.b0 = float(params.a * c + 1.0)
-        self.b1 = float(1.0 - params.a * c)
-        self.a0 = float(c + 1.0)
-        self.a1 = float(1.0 - c)
+        self.b0 = params.a * c + 1.0
+        self.b1 = 1.0 - params.a * c
+        self.a0 = c + 1.0
+        self.a1 = 1.0 - c
         self.u_prev = 0.0
         self.y_prev = 0.0
 
@@ -285,9 +286,7 @@ class GainSchedule:
     def __init__(self, params: KalmanParams, rows, dt, count):
         (f01, g0, _, _), (f11, g1, _, _) = rows
         self.f01, self.f11, self.g0, self.g1 = f01, f11, g0, g1
-        q00 = float(params.q_omega * dt)
-        q11 = float(params.q_rate * dt)
-        r = float(params.r)
+        q00, q11, r = params.q_omega * dt, params.q_rate * dt, params.r
         self.k0, self.k1 = array("d"), array("d")
         k0s, k1s = self.k0.append, self.k1.append
         p00, p01, p11 = 1.0, 0.0, 1.0
@@ -318,7 +317,7 @@ class Kalman:
 
     def __init__(self, schedule: GainSchedule, initial_pitch=0.0):
         self.schedule = schedule
-        self.x0 = float(initial_pitch)
+        self.x0 = initial_pitch
         self.x1 = 0.0
         self.updates = 0
 
@@ -374,5 +373,5 @@ def disturbance_at(params: DisturbanceParams, times):
     first = min(times, default=0.0)
     if first < 0:
         raise DomainError(f"t must be >= 0, got {first}")
-    amp, freq = float(params.amplitude), float(params.frequency)
+    amp, freq = params.amplitude, params.frequency
     return [amp * math.sin(freq * t) for t in times]

@@ -74,14 +74,12 @@ class Scenario(Params):
         super().__post_init__()
         # The first errors are about command - initial.  If that overflows,
         # the run cannot start: a configuration error, not a divergence.
-        if not math.isfinite(float(self.command) - float(self.initial)):
+        if not math.isfinite(self.command - self.initial):
             raise ConfigError("command - initial is past the float range")
         if self.dt > self.duration:
             raise ConfigError("need dt <= duration")
         if self.dt > 0.005:
-            raise ConfigError(
-                f"dt={self.dt} too coarse for the 50 rad/s actuator"
-                " (need dt <= 0.005)")
+            raise ConfigError(f"dt={self.dt} too coarse (need dt <= 0.005)")
 
 
 # A trace compares and hashes by identity: field-wise equality over numpy
@@ -233,7 +231,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     returned Trace's columns are recorded and checked (later rows are not
     yet written); it may end the run by raising.
     """
-    dt = float(scenario.dt)
+    dt = scenario.dt
     try:
         n = int(round(scenario.duration / dt)) + 1
         rec = np.empty((n, len(TRACE_COLUMNS)))
@@ -251,9 +249,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     kal = Kalman(schedule, scenario.initial) if schedule else None
     (p01, p0u, p0s, p0c), (p11, p1u, p1s, p1c) = plant_rows
 
-    omega = float(scenario.initial)
-    omega_dot = 0.0
-    cmd = float(scenario.command)
+    omega, omega_dot, cmd = scenario.initial, 0.0, scenario.command
     rec[:, 0] = t
     rec[:, 1] = cmd
     trace = Trace(*rec.T)
@@ -309,7 +305,7 @@ def cache_last(build):
     """`build` with its last result kept: a call whose arguments have the
     same reprs as the last call's returns that result without building.
     Keying on repr, not on equality, keeps apart values that compare equal
-    but compute differently (0.0 and -0.0, 1 and 1.0).  Like
+    but compute differently (0.0 and -0.0).  Like
     functools.lru_cache(maxsize=1), the wrapper has `cache_clear`."""
     last = {}
 
@@ -335,8 +331,7 @@ def _plan(dt, n, disturbance: DisturbanceParams, plant: PitchPlantParams,
     sine stays a per-window `disturbance_at` call."""
     rows = plant_step(plant, disturbance, dt)
     schedule = GainSchedule(kalman, rows, dt, n) if kalman.enabled else None
-    amp = float(disturbance.amplitude)
-    freq = float(disturbance.frequency)
+    amp, freq = disturbance.amplitude, disturbance.frequency
     t = np.arange(n) * dt
     d_cos = np.fromiter((amp * math.cos(freq * (k * dt)) for k in range(n)),
                         float, n)

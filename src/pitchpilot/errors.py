@@ -87,13 +87,18 @@ _KINDS = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("a non-negative integer", _count),
 }
+# The annotations of real fields, which `Params` stores as Python floats.
+_REALS = (float, Positive, NonNegative, Nonzero)
 
 
 class Params:
     """Base of every parameter dataclass: construction raises DomainError
     unless each field fits its annotation as `_KINDS` says.  A dataclass
     annotation takes an instance of that class; any other annotation is not
-    checked.  A subclass with checks of its own calls this hook first."""
+    checked.  A real field (`float`, `Positive`, `NonNegative`, `Nonzero`)
+    that passes is stored as `float(value)`, so an int, a Fraction or a
+    numpy scalar reaches every later computation as a Python float.  A
+    subclass with checks of its own calls this hook first."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -105,3 +110,5 @@ class Params:
             if not fits(value):
                 raise DomainError(f"{type(self).__name__}.{f.name} must be"
                                   f" {what}, got {value!r}")
+            if f.type in _REALS:    # the dataclasses are frozen
+                object.__setattr__(self, f.name, float(value))

@@ -239,8 +239,7 @@ def tune_pid(config: LoopConfig, scenario: Scenario, cost: CostSpec,
     start = np.array([config.pid.k_p, config.pid.k_i, config.pid.k_d])
 
     def objective(gains, ceiling):
-        pid = replace(config.pid, k_p=float(gains[0]), k_i=float(gains[1]),
-                      k_d=float(gains[2]))
+        pid = replace(config.pid, k_p=gains[0], k_i=gains[1], k_d=gains[2])
         _, value = evaluate(replace(config, pid=pid), scenario, cost, ceiling)
         return value
 
@@ -249,6 +248,5 @@ def tune_pid(config: LoopConfig, scenario: Scenario, cost: CostSpec,
     if best_f >= cost.divergence_penalty:
         raise UntunableStartError("no evaluated gains scored below the"
                                   " divergence penalty")
-    gains = replace(config.pid, k_p=float(best_x[0]), k_i=float(best_x[1]),
-                    k_d=float(best_x[2]))
+    gains = replace(config.pid, k_p=best_x[0], k_i=best_x[1], k_d=best_x[2])
     return gains, history

@@ -17,13 +17,16 @@ from pitchpilot.errors import fixed
 NO_DISTURBANCE = ["--set", "loop.disturbance.amplitude=0"]
 QUIET = ["--no-noise", *NO_DISTURBANCE]
 HUGE = "9" * 401   # an integer past the float range
+# An integer inside the float range whose square is past it.
+BIG = "1" + "0" * 200
 # Overrides that build valid sections but drive a sizing result past the
 # float range, and the result the error names.
 NONFINITE_SIZING = {"missile.X_CG=1e308 tail_sizing.X_AC=-1e308":
                     "S_T/S_ref = nan",
                     "missile.X_CG=1e308 missile.X_AC=-1e308":
                     "static margin = -inf",
-                    "missile.X_AC=1e307": "static margin in percent = inf"}
+                    "missile.X_AC=1e307": "static margin in percent = inf",
+                    f"missile.b={BIG}": "wing area S_W = inf"}
 
 
 def run_cli(*argv):
@@ -146,7 +149,9 @@ class TestSimulate:
         ("loop.plant.J_z=1e-300", "PitchPlantParams(J_z=1e-300"),
         ("loop.actuator.wn=1e200", "ActuatorParams("),
         ("loop.actuator.gain=1e308", "ActuatorParams(gain=1e+308"),
-        ("loop.disturbance.frequency=1e300", "DisturbanceParams(")])
+        ("loop.disturbance.frequency=1e300", "DisturbanceParams("),
+        pytest.param(f"loop.actuator.wn={BIG}", "ActuatorParams(",
+                     id="loop.actuator.wn=1e200-as-int")])
     def test_hold_past_the_float_range_names_its_parameters(
             self, tmp_path, capsys, override, named):
         assert run_cli("simulate", "--out", str(tmp_path),
@@ -471,7 +476,7 @@ json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
 # What follows `KEY=` on the command line.
 override_values = st.one_of(
     st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
-                     HUGE, "-" + HUGE]),
+                     HUGE, "-" + HUGE, BIG, "-" + BIG]),
     json_scalars.map(json.dumps),
     st.lists(json_scalars, max_size=3).map(json.dumps),
     st.text(max_size=8))

@@ -1,7 +1,9 @@
 import json
 import math
 from dataclasses import fields, is_dataclass, replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pitchpilot import config as cfgmod
@@ -30,6 +32,7 @@ PARAMETER_SETS = {type(p): p for root in (
 # Annotation -> values a field so annotated rejects.
 VIOLATIONS = {Positive: (0, -1), NonNegative: (-1,), Nonzero: (0,),
               float: (math.nan, math.inf), bool: (1, None), int: (-1, 0.5)}
+REALS = (float, Positive, NonNegative, Nonzero)
 RANGED_FIELDS = [pytest.param(params, f, id=f"{cls.__name__}.{f.name}")
                  for cls, params in PARAMETER_SETS.items()
                  for f in fields(params) if f.type in VIOLATIONS]
@@ -138,3 +141,16 @@ class TestRangeAnnotations:
         if field.type is NonNegative:
             assert getattr(replace(params, **{field.name: 0.0}),
                            field.name) == 0.0
+
+    @pytest.mark.parametrize("params, field", [
+        p for p in RANGED_FIELDS if p.values[1].type in REALS])
+    def test_every_real_field_is_stored_as_a_float(self, params, field):
+        default = getattr(params, field.name)
+        forms = [np.float64(default), Fraction(default)]
+        if default == int(default):
+            forms.append(int(default))
+        for value in forms:
+            stored = getattr(replace(params, **{field.name: value}),
+                             field.name)
+            assert type(stored) is float, type(value)
+            assert stored == default, type(value)

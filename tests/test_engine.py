@@ -29,6 +29,12 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario(dt=2.0, duration=1.0)
 
+    def test_step_limit_names_no_block(self):
+        # The actuator is held exactly, so its bandwidth sets no step limit.
+        with pytest.raises(ConfigError, match=r"^dt=0.006 too coarse"
+                                              r" \(need dt <= 0.005\)$"):
+            Scenario(dt=0.006)
+
     @pytest.mark.parametrize("initial, command", [(1e308, -1e308),
                                                   (-10 ** 308, 10 ** 308)],
                              ids=["float", "int"])
