@@ -215,10 +215,10 @@ def cmd_sweep(args, cfg):
         else:
             t_s = repr(m.t_s) if m.t_s is not None else ""
             lines.append(f"{value!r},{m.t_r!r},{m.t_p!r},{t_s},{m.m_p!r},{c!r}")
-    winner = min(rows, key=lambda row: row[2])
+    winner = min((row for row in rows if row[1] is not None),
+                 key=lambda row: row[2], default=None)
     best = (f"best {spec.path} = {winner[0]} (cost {fixed(winner[2], '.4f')})"
-            if any(m is not None for _, m, _ in rows)
-            else "no value gave a measurable response")
+            if winner else "no value gave a measurable response")
     return ({"sweep.csv": "\n".join(lines) + "\n"},
             f"swept {spec.path} over {len(rows)} values; {best}\n")
 

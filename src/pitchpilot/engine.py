@@ -301,27 +301,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
             rates.append(omega_dot)
 
 
-def cache_last(build):
-    """`build` with its last result kept: a call whose arguments have the
-    same reprs as the last call's returns that result without building.
-    Keying on repr, not on equality, keeps apart values that compare equal
-    but compute differently (0.0 and -0.0).  Like
-    functools.lru_cache(maxsize=1), the wrapper has `cache_clear`."""
-    last = {}
-
-    @functools.wraps(build)
-    def cached(*args):
-        key = tuple(map(repr, args))
-        if key not in last:
-            last.clear()
-            last[key] = build(*args)
-        return last[key]
-
-    cached.cache_clear = last.clear
-    return cached
-
-
-@cache_last
+@functools.lru_cache(maxsize=1)
 def _plan(dt, n, disturbance: DisturbanceParams, plant: PitchPlantParams,
           kalman: KalmanParams):
     """What a run of n steps needs that no controller or actuator setting

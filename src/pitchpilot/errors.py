@@ -28,17 +28,17 @@ class DivergedError(PitchPilotError):
 
     Attributes:
         step: index of the step at which the signal went non-finite.
-        signal: optional name of that signal, a trace column.
+        signal: name of that signal, a trace column.
         leg: optional tag ("A" or "B") for paired runs.
     """
 
-    def __init__(self, step, signal=None, leg=None):
+    def __init__(self, step, signal, leg=None):
         self.step = step
         self.signal = signal
         self.leg = leg
-        where = f" in {signal}" if signal else ""
         tag = f" (leg {leg})" if leg else ""
-        super().__init__(f"simulation diverged at step {step}{where}{tag}")
+        super().__init__(f"simulation diverged at step {step}"
+                         f" in {signal}{tag}")
 
 
 class NoResponseError(PitchPilotError):
@@ -96,9 +96,10 @@ class Params:
     unless each field fits its annotation as `_KINDS` says.  A dataclass
     annotation takes an instance of that class; any other annotation is not
     checked.  A real field (`float`, `Positive`, `NonNegative`, `Nonzero`)
-    that passes is stored as `float(value)`, so an int, a Fraction or a
-    numpy scalar reaches every later computation as a Python float.  A
-    subclass with checks of its own calls this hook first."""
+    that passes is stored as `float(value) + 0.0`: an int, a Fraction or a
+    numpy scalar as the Python float it equals, and -0.0 as +0.0, so
+    parameter sets that compare equal compute alike.  A subclass with
+    checks of its own calls this hook first."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -111,4 +112,4 @@ class Params:
                 raise DomainError(f"{type(self).__name__}.{f.name} must be"
                                   f" {what}, got {value!r}")
             if f.type in _REALS:    # the dataclasses are frozen
-                object.__setattr__(self, f.name, float(value))
+                object.__setattr__(self, f.name, float(value) + 0.0)

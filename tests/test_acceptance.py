@@ -53,9 +53,12 @@ class TestCriterion1TableReproduction:
         published 5% band (+/-0.45 deg) A settles in 1.92 s and B in 1.54 s
         against 2.78 s and 2.50 s, and a 2% band gives A 2.69 s and B
         1.78 s.  The disturbance moves neither by more than 5 ms.  The peak
-        and rise rows agree, so the gap is in the slow tail after the peak,
-        which the integral action governs; the paper does not say what tail
-        it had.
+        and rise rows agree, so the gap is in the slow tail after the peak.
+        That tail is not the integral action's: noise-free, without the
+        disturbance and with the +/-0.45 deg band, k_i = 23.4, 11.7 and 0
+        settle A in 1.921, 1.968 and 1.952 s and B in 1.543, 1.497 and
+        1.361 s (ROADMAP item 10 gives the table).  The paper does not say
+        what tail it had.
         """
         m = ab_metrics[0 if system == "A" else 1]
         value = getattr(m, field)

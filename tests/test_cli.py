@@ -385,6 +385,15 @@ class TestSweepAndTune:
         assert (tmp_path / "sweep.csv").read_text().count("\n") == 4
         assert "best actuator.gain" in capsys.readouterr().out
 
+    def test_sweep_winner_is_a_measured_value(self, tmp_path, capsys):
+        # 1e300 diverges and costs the penalty, which is below the cost of
+        # the measured 5000: the winner is still the only value measured.
+        assert run_cli("sweep", "--out", str(tmp_path), "--values",
+                       "5000,1e300", "--duration", "1") == EXIT_OK
+        assert capsys.readouterr().out == (
+            "swept actuator.gain over 2 values;"
+            " best actuator.gain = 5000.0 (cost 2.3057e+13)\n")
+
     def test_empty_values_usage_error(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path), "--values", ",",
                        *NO_DISTURBANCE) == EXIT_CONFIG

@@ -154,3 +154,10 @@ class TestRangeAnnotations:
                              field.name)
             assert type(stored) is float, type(value)
             assert stored == default, type(value)
+        if field.type in (float, NonNegative):
+            # A zero is stored as +0.0, so parameter sets that compare equal
+            # compute alike.
+            stored = getattr(replace(params, **{field.name: -0.0}),
+                             field.name)
+            assert type(stored) is float
+            assert math.copysign(1.0, stored) == 1.0

@@ -219,8 +219,10 @@ def test_divergence_step_is_the_first_non_finite_row(config, duration):
 @pytest.mark.parametrize("field", ["amplitude", "frequency"])
 @pytest.mark.parametrize("first", [0.0, -0.0], ids=["+0 first", "-0 first"])
 def test_signed_zero_disturbances_do_not_alias(field, first):
-    # The two configurations compare equal, so a cache keyed on equality
-    # would hand the second run the first one's plan.
+    # The two configurations compare equal, so the plan cache, keyed on
+    # equality, hands the second run the first one's plan.  That is sound
+    # only because a parameter set stores a zero as +0.0: both must run as
+    # +0.0, cold and warm, whichever comes first.
     scenario = Scenario(duration=0.2)
     configs = [LoopConfig(disturbance=replace(DISTURBANCE, **{field: zero}))
                for zero in (first, -first)]
@@ -229,12 +231,9 @@ def test_signed_zero_disturbances_do_not_alias(field, first):
     for config in configs:
         _clear_caches()
         cold.append(run_scenario(config, scenario))
-    signs = [math.copysign(1.0, trace.d_t[1]) for trace in cold]
-    assert signs == [math.copysign(1.0, first), -math.copysign(1.0, first)]
+    assert [math.copysign(1.0, trace.d_t[1]) for trace in cold] == [1.0, 1.0]
     warm = [run_scenario(config, scenario) for config in configs]
-    assert [trace.d_t.tobytes() for trace in warm] == \
-        [trace.d_t.tobytes() for trace in cold]
-    assert [_bytes(trace) for trace in warm] == [_bytes(t) for t in cold]
+    assert len({_bytes(trace) for trace in cold + warm}) == 1
 
 
 def test_mixed_runs_in_any_order_give_the_same_traces():

@@ -18,9 +18,9 @@ OLDEST_PYTHON = (3, 10)   # pyproject.toml: requires-python = ">=3.10"
 
 def _defs(path):
     """{(file, first line of the code object): qualified name} for every
-    `def` in `path`, and the names used there as bare decorators.  A
-    decorated function's code starts at its first decorator."""
-    found, decorators = {}, set()
+    `def` in `path`.  A decorated function's code starts at its first
+    decorator."""
+    found = {}
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
@@ -28,8 +28,6 @@ def _defs(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 name = f"{prefix}{child.name}."
-                decorators.update(d.id for d in child.decorator_list
-                                  if isinstance(d, ast.Name))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 line = min([child.lineno]
                            + [d.lineno for d in child.decorator_list])
@@ -37,18 +35,16 @@ def _defs(path):
             visit(child, name)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "")
-    return found, decorators
+    return found
 
 
 def test_every_function_is_reached_by_a_workflow(tmp_path, capsys):
     """Each CLI workflow and the stability probe, run once under a profile
     hook, enter every `def` in the package.  Code that only runs at import
     (module and class bodies) does not count."""
-    defs, decorators = {}, set()
+    defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        found, used = _defs(path)
-        defs.update(found)
-        decorators |= used
+        defs.update(_defs(path))
     entered = set()
 
     def hook(frame, event, arg):
@@ -82,11 +78,8 @@ def test_every_function_is_reached_by_a_workflow(tmp_path, capsys):
 
     assert codes == [0, 0, 0, 0, 0, 0, 3]
     entered = {(str(Path(file).resolve()), line) for file, line in entered}
-    # A decorator of the package's own ran when the module was imported,
-    # before any workflow, so it is entered by every one.
     unreached = sorted(name for key, name in defs.items()
-                       if key not in entered
-                       and name.rpartition(".")[2] not in decorators)
+                       if key not in entered)
     assert not unreached, f"no workflow enters {unreached}"
 
 
