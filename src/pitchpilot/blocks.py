@@ -11,8 +11,9 @@ holds no state and draws a whole run's noise in one call.
 The Kalman filter's covariance reaches no measurement or control, so its
 recursion runs once, in the constructor of an immutable `GainSchedule`,
 and a filter's step only updates its state from the gains it is given.
-The module keeps no cache: `engine._plan` holds one schedule per
-configuration.
+`engine._plan` holds one schedule per configuration; the module's one
+cache keeps the last two zero-order holds, so that runs of one servo
+compute its hold once.
 
 Step methods do not check their inputs: a non-finite value runs through the
 recursion like any other, and `engine.run_scenario`, which checks every
@@ -25,12 +26,13 @@ arithmetic through numpy's scalar machinery, about twice as slow as
 Python's float path.
 """
 
+import functools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (ConfigError, DomainError, NonNegative, Nonzero, Params,
                      Positive)
@@ -100,30 +102,163 @@ class PitchPlantParams(Params):
     lam: NonNegative = 6.0   # aerodynamic resistance (torque per unit rate)
 
 
+# Higham's bound on the 1-norm of the argument up to which the Padé
+# approximant of degree m is exact to double precision (SIAM J. Matrix
+# Anal. Appl. 26, 2005, Table 2.3).
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+          (13, 5.371920351148152e0))
+
+
+def _sum(terms):
+    """The terms added left to right: the builtin `sum` compensates from
+    Python 3.12 on, so its bits would depend on the interpreter."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _dot(u, v):
+    return _sum(map(operator.mul, u, v))
+
+
+def _mul(X, Y):
+    """X·Y of square matrices held as lists of rows."""
+    columns = list(zip(*Y))
+    return [[_dot(row, column) for column in columns] for row in X]
+
+
+def _solve(P, Q):
+    """P⁻¹·Q by Gaussian elimination with partial pivoting."""
+    n = len(P)
+    rows = [p + q for p, q in zip(P, Q)]
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / top[k]
+            rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+    X = [None] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        X[k] = [(row[n + j] - _dot(row[k + 1:n], [x[j] for x in X[k + 1:]]))
+                / row[k] for j in range(n)]
+    return X
+
+
+def _balance(M):
+    """(D⁻¹·M·D, e) with D = diag(2**e) chosen so that each state's row and
+    column have norms within a factor of two where both are nonzero
+    (Parlett & Reinsch 1969, radix 2): powers of two scale exactly."""
+    n = len(M)
+    M = [row[:] for row in M]
+    e = [0] * n
+    done = False
+    while not done:
+        done = True
+        for i in range(n):
+            c = _sum(abs(M[j][i]) for j in range(n) if j != i)
+            r = _sum(abs(x) for j, x in enumerate(M[i]) if j != i)
+            if c == 0 or r == 0:
+                continue
+            f, before = 0, c + r
+            while c < r / 2:
+                f, c = f + 1, c * 4
+            while c >= r * 2:
+                f, c = f - 1, c / 4
+            if math.ldexp(c + r, -f) < 0.95 * before:
+                done = False
+                e[i] += f
+                for j in range(n):
+                    M[i][j] = math.ldexp(M[i][j], -f)
+                    M[j][i] = math.ldexp(M[j][i], f)
+    return M, e
+
+
+def _expm(M):
+    """exp(M) of a square matrix held as a list of rows of floats, by
+    scaling and squaring with the Padé degree that Higham's bounds pick.
+    It exponentiates the balanced D⁻¹·M·D, so that no entry far below the
+    others is lost, and returns D·exp(D⁻¹·M·D)·D⁻¹, undone by `ldexp`."""
+    n = len(M)
+    A, e = _balance(M)
+    norm = max(_sum(map(abs, column)) for column in zip(*A))
+    squarings = 0
+    for m, theta in _THETA:
+        if norm <= theta:
+            break
+    else:
+        squarings = math.frexp(norm / theta)[1]
+        A = [[math.ldexp(x, -squarings) for x in row] for row in A]
+    # The approximant's numerator is sum b_j·A^j; U and V, its odd and even
+    # parts, come from the even powers of A up to the degree.
+    f = math.factorial
+    b = [f(2 * m - j) / (f(j) * f(m - j)) for j in range(m + 1)]
+    identity = [[float(i == j) for j in range(n)] for i in range(n)]
+    powers = [identity, _mul(A, A)]
+    while len(powers) <= m // 2:
+        powers.append(_mul(powers[-1], powers[1]))
+
+    def part(first):
+        return [[_dot(b[first::2], [p[i][j] for p in powers])
+                 for j in range(n)] for i in range(n)]
+
+    U, V = _mul(A, part(1)), part(0)
+    E = _solve([[v - u for u, v in zip(us, vs)] for us, vs in zip(U, V)],
+               [[v + u for u, v in zip(us, vs)] for us, vs in zip(U, V)])
+    for _ in range(squarings):
+        E = _mul(E, E)
+    return [[math.ldexp(x, e[i] - e[j]) for j, x in enumerate(row)]
+            for i, row in enumerate(E)]
+
+
+@functools.lru_cache(maxsize=2)
+def _hold(A, B, dt):
+    """(Ad, Bd) as lists, or None unless the hold is finite; see `_zoh`.
+    The last two holds are kept, a run's servo hold and its plan's plant
+    hold, so that a tuner or delay probe that builds the same servo run
+    after run computes it once."""
+    n = len(B)
+    # exp scales by the norm of the whole matrix, so a B far from A would
+    # cost Ad its accuracy: hold B at A's scale by an exact power of two and
+    # scale Bd, which is linear in B, back.
+    shift = (math.frexp(max(map(abs, B)))[1]
+             - math.frexp(max(abs(a) for row in A for a in row))[1])
+    try:
+        M = [[a * dt for a in row] + [math.ldexp(b, -shift) * dt]
+             for row, b in zip(A, B)]
+        # Past 2**53 the spacing of floats is 2 or more, so the rounding
+        # of M·dt alone may move an entry, such as a phase advance per
+        # step, by a whole unit: no float hold is then the hold.
+        if not all(abs(x) < 2.0 ** 53 for row in M for x in row):
+            return None
+        E = _expm(M + [[0.0] * (n + 1)])
+        Ad = [row[:n] for row in E[:n]]
+        Bd = [math.ldexp(row[n], shift) for row in E[:n]]
+    except OverflowError:   # a power of two past the float range
+        return None
+    if not all(math.isfinite(x) for row in Ad + [Bd] for x in row):
+        return None
+    return Ad, Bd
+
+
 def _zoh(A, B, dt, *params):
     """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u, from
-    one matrix exponential of [[A, B], [0, 0]]·dt (Van Loan 1978).  A hold
-    that is not finite is a ConfigError naming `params`, the parameter sets
-    A and B were built from."""
+    one matrix exponential of [[A, B], [0, 0]]·dt (Van Loan 1978), computed
+    in Python floats, so its bits depend on no BLAS.  A hold that is not
+    finite, or whose matrix holds an entry of 2**53 or more, is a
+    ConfigError naming `params`, the parameter sets A and B were built
+    from."""
     if not dt > 0:
         raise ConfigError("dt must be > 0")
-    # expm picks its scaling from the norm of the whole matrix, so a B far
-    # above A costs Ad its accuracy: hold B scaled down by an exact power of
-    # two and scale Bd, which is linear in B, back up.
-    e_A = math.frexp(max(float(np.max(np.abs(A))), 1.0))[1]
-    e_B = math.frexp(float(np.max(np.abs(B))))[1]
-    shift = max(0, e_B - e_A - 32)
-    n = len(B)
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = np.ldexp(B, -shift)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Md = expm(M * dt)
-        Ad, Bd = Md[:n, :n], np.ldexp(Md[:n, n], shift)
-    if not (np.isfinite(Ad).all() and np.isfinite(Bd).all()):
+    hold = _hold(tuple(tuple(map(float, row)) for row in A),
+                 tuple(map(float, B)), float(dt))
+    if hold is None:
         raise ConfigError(f"no finite zero-order hold of"
                           f" {', '.join(map(repr, params))} at dt={dt}")
-    return Ad, Bd
+    return np.array(hold[0]), np.array(hold[1])
 
 
 def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
@@ -239,9 +374,8 @@ class Actuator:
 
     def __init__(self, params: ActuatorParams, dt, run_steps=math.inf):
         wn2 = params.wn * params.wn   # `**` raises OverflowError past 1e154
-        A = np.array([[0.0, 1.0], [-wn2, -2.0 * params.mu * params.wn]])
-        B = np.array([0.0, params.gain * wn2])
-        Ad, Bd = _zoh(A, B, dt, params)
+        Ad, Bd = _zoh(((0.0, 1.0), (-wn2, -2.0 * params.mu * params.wn)),
+                      (0.0, params.gain * wn2), dt, params)
         n_slots = min(_steps(params.tau, dt, "actuator delay tau"), run_steps)
         (self.a00, self.a01), (self.a10, self.a11) = Ad.tolist()
         self.b_0, self.b_1 = Bd.tolist()

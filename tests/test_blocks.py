@@ -1,9 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.signal import cont2discrete
 
 from pitchpilot.blocks import (Actuator, ActuatorParams, CompensatorParams,
                                DisturbanceParams, GainSchedule, Kalman,
@@ -231,17 +231,37 @@ class TestZoh:
         assert Bd[1] == pytest.approx((1.0 - decay) / lam, abs=1e-15)
         assert Bd[0] == pytest.approx((dt - f01) / lam, abs=1e-15)
 
-    @pytest.mark.parametrize("gain", [1.0, 7.0, 15.0, 5000.0, 5e4, 1e9])
-    def test_actuator_matches_cont2discrete(self, gain):
-        # Up to B = 2**32·max|A| the hold is one unscaled expm, as in scipy.
-        p, dt = ActuatorParams(gain=gain), 0.001
-        A = np.array([[0.0, 1.0], [-p.wn ** 2, -2.0 * p.mu * p.wn]])
-        B = np.array([0.0, p.gain * p.wn ** 2])
+    @pytest.mark.parametrize("wn", [5.0, 50.0, 500.0])
+    @pytest.mark.parametrize("gain", [1.0, 7.0, 1e3, 1e6])
+    def test_actuator_hold_matches_mpmath(self, gain, wn):
+        p, dt = ActuatorParams(gain=gain, wn=wn), 0.001
+        act = Actuator(p, dt)
+        _assert_hold_near_exact(
+            [[act.a00, act.a01, act.b_0], [act.a10, act.a11, act.b_1]],
+            [[0.0, 1.0], [-wn * wn, -2.0 * p.mu * wn]], [0.0, gain * wn * wn],
+            dt)
+
+    @pytest.mark.parametrize("dt", [0.001, 0.005])
+    @pytest.mark.parametrize("frequency", [0.0, 1.0, 5.0, 50.0])
+    def test_plant_hold_matches_mpmath(self, frequency, dt):
+        # The plant with the disturbance oscillator, as `plant_step` holds
+        # it; entry (0, 3) is formed by cancellation.
+        J, lam = 40.0, 6.0
+        A = [[0.0, 1.0, 0.0, 0.0], [0.0, -lam / J, -1.0 / J, 0.0],
+             [0.0, 0.0, 0.0, frequency], [0.0, 0.0, -frequency, 0.0]]
+        B = [0.0, 1.0 / J, 0.0, 0.0]
         Ad, Bd = _zoh(A, B, dt)
-        Ad_ref, Bd_ref, *_ = cont2discrete(
-            (A, B[:, None], np.eye(2), np.zeros((2, 1))), dt, method="zoh")
-        assert np.array_equal(Ad, Ad_ref)
-        assert np.array_equal(Bd, Bd_ref[:, 0])
+        _assert_hold_near_exact(
+            [row + [b] for row, b in zip(Ad.tolist(), Bd.tolist())], A, B, dt)
+
+    @pytest.mark.parametrize("plant, disturbance", [
+        (PitchPlantParams(J_z=1e-20), DisturbanceParams()),
+        (PitchPlantParams(), DisturbanceParams(frequency=1e19))])
+    def test_hold_past_float_resolution_is_refused(self, plant, disturbance):
+        # An entry of [[A, B], [0, 0]]·dt of 2**53 or more is not known to
+        # within 1 once rounded, e.g. the disturbance's phase per step.
+        with pytest.raises(ConfigError, match="no finite zero-order hold"):
+            plant_step(plant, disturbance, 0.001)
 
     @pytest.mark.parametrize("gain", [1e40, 1e75, 1e90, 1e100, -1e300])
     def test_hold_of_a_huge_input_gain(self, gain):
@@ -255,6 +275,29 @@ class TestZoh:
                                                        rel=1e-12)
         assert act.b_0 / gain == pytest.approx(unit.b_0, rel=1e-12)
         assert act.b_1 / gain == pytest.approx(unit.b_1, rel=1e-12)
+
+
+def _assert_hold_near_exact(rows, A, B, dt):
+    """`rows`, the hold [Ad | Bd] of x' = A·x + B·u, against the same rows of
+    exp([[A, B], [0, 0]]·dt) in 50-digit arithmetic (Van Loan 1978): within
+    4 ulp on every entry at least 1e-6 of its row's largest, and within 1
+    ulp of the row's largest on the others."""
+    n = len(B)
+    with mpmath.workdps(50):
+        M = mpmath.zeros(n + 1, n + 1)
+        for i in range(n):
+            for j in range(n):
+                M[i, j] = mpmath.mpf(A[i][j]) * dt
+            M[i, n] = mpmath.mpf(B[i]) * dt
+        E = mpmath.expm(M)
+        for i, row in enumerate(rows):
+            exact = [E[i, j] for j in range(n + 1)]
+            top = max(abs(float(x)) for x in exact)
+            for j, (got, want) in enumerate(zip(row, exact)):
+                bound = (4 * math.ulp(float(want))
+                         if abs(float(want)) >= 1e-6 * top
+                         else math.ulp(top))
+                assert abs(got - want) <= bound, (i, j, got, float(want))
 
 
 def _covariance(schedule):

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pitchpilot
 from pitchpilot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from pitchpilot.config import default_config
 from pitchpilot.engine import TRACE_COLUMNS, Trace
@@ -263,38 +268,78 @@ def test_option_the_command_would_ignore_is_a_usage_error(tmp_path, argv):
 
 
 # sha256 of default outputs written by the row-by-row `repr` trace writer
-# and the reports before huge values took exponent form (numpy 2.4.6,
-# scipy 1.17.1, x86-64).
+# and the reports before huge values took exponent form.  The zero-order
+# holds are computed in Python floats, so no BLAS kernel moves them (see
+# the test below); they still assume the C library's `sin` and `cos` (the
+# disturbance and `engine._plan`'s oscillator) and the stream of numpy's
+# `Generator.normal` (numpy 2.4.6, x86-64).
 GOLDEN = {
     ("ab", "--seed", "0"): {
-        "trace_a.csv": "719c891a62319812b85ca320a35409c7"
-                       "fc7d97addd15f31c68d3c068b5e5789a",
-        "trace_b.csv": "475d026ac574536543235e87e514796b"
-                       "071634157d355d51ead5ecf799bcc006",
+        "trace_a.csv": "f857b732a9af5cd2633a5f123a01295d"
+                       "247e7d09bf5763112ee0d416a49c9d57",
+        "trace_b.csv": "50b3ebef317bd32f52222c319880b760"
+                       "fa3cc9da48e7e18fff2b1ece2209ebd2",
         "ab_report.txt": "519f4f69d9d1582a6fd26af88d3c6f48"
                          "738d41fed1dc55c5edabe0322950774d"},
     ("simulate",): {
-        "trace.csv": "475d026ac574536543235e87e514796b"
-                     "071634157d355d51ead5ecf799bcc006",
+        "trace.csv": "50b3ebef317bd32f52222c319880b760"
+                     "fa3cc9da48e7e18fff2b1ece2209ebd2",
         "metrics.txt": "ae0886cef2ea2822126168471cea5e94"
                        "e1538d6056e8d796bc0b927e7380825d"},
     ("size",): {
         "sizing.txt": "c193df244e0716d4371c8a16919c7a6f"
                       "41bf5abbe621149baa400f29dbbb6a07"},
     ("sweep",): {
-        "sweep.csv": "bedf8387b498971020e57f186c41a967"
-                     "dac9940804e59e231f64edd676ce1730"},
+        "sweep.csv": "68b8e852f8d4cd12186cb14934b81b9d"
+                     "eecf680fc8d403f66fed536cd81e2d83"},
     ("tune", "--max-evals", "16"): {
         "tuned_gains.txt": "d0573850eb4d1dc0465101bd5f1018ad"
                            "dc6424867f782608c2b42a9d4e9c1764"},
 }
 
 
+def _hashes(directory, argv):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in GOLDEN[argv]}
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
 def test_default_outputs_are_byte_identical(tmp_path, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in GOLDEN[argv]} == GOLDEN[argv]
+    assert _hashes(tmp_path, argv) == GOLDEN[argv]
+
+
+def _child(*args, **env):
+    """`python *args` in a fresh process that imports this package, with
+    `env` added to its environment; returns its stdout."""
+    src = str(Path(pitchpilot.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}).stdout
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Nehalem"])
+@pytest.mark.parametrize("argv", [("ab", "--seed", "0"), ("simulate",),
+                                  ("sweep",)], ids=" ".join)
+def test_default_traces_do_not_depend_on_the_blas_kernel(tmp_path, argv,
+                                                         coretype):
+    # OPENBLAS_CORETYPE makes numpy's OpenBLAS use the named CPU kernel in
+    # place of the one it picks for the CPU, in the child process only.
+    _child("-m", "pitchpilot.cli", *argv, "--out", str(tmp_path),
+           OPENBLAS_CORETYPE=coretype)
+    assert _hashes(tmp_path, argv) == GOLDEN[argv]
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: the holds are the package's own.
+    argv = ["simulate", "--duration", "0.5", "--out", str(tmp_path)]
+    code = ("import sys\n"
+            "import pitchpilot\n"
+            "from pitchpilot import cli\n"
+            f"cli.main({argv!r})\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    assert _child("-c", code).splitlines()[-1] == "[]"
 
 
 class TestHugeValuesInExponentForm:

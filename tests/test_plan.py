@@ -1,6 +1,7 @@
 """The per-configuration plan changes no trace: an independent one-step
-reference loop, and a cache that cannot alias configurations.  The same
-loop places a diverged run's step and signal."""
+reference loop on the package's zero-order holds, and a cache that cannot
+alias configurations.  The same loop places a diverged run's step and
+signal."""
 
 import itertools
 import math
@@ -8,11 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.signal import cont2discrete
 
 from pitchpilot.blocks import (ActuatorParams, CompensatorParams,
                                DisturbanceParams, KalmanParams, NoiseParams,
-                               PidGains, PitchPlantParams)
+                               PidGains, PitchPlantParams, _zoh)
 from pitchpilot.engine import (TRACE_COLUMNS, LoopConfig, Scenario, _plan,
                                run_scenario)
 from pitchpilot.errors import DivergedError
@@ -21,10 +21,11 @@ DISTURBANCE = DisturbanceParams(amplitude=2.0, frequency=5.0)
 
 
 def _hold(A, B, dt):
-    """(Ad, Bd) by scipy's zero-order hold, independent of the package."""
-    Ad, Bd, *_ = cont2discrete((A, B[:, None], np.eye(len(B)),
-                                np.zeros((len(B), 1))), dt, method="zoh")
-    return Ad.tolist(), Bd[:, 0].tolist()
+    """(Ad, Bd) by the package's zero-order hold: this file checks the
+    windowed engine against a one-step loop on the same coefficients, and
+    tests/test_blocks.py checks the hold against an mpmath oracle."""
+    Ad, Bd = _zoh(A, B, dt)
+    return Ad.tolist(), Bd.tolist()
 
 
 def reference_run(config: LoopConfig, scenario: Scenario):
