@@ -20,10 +20,10 @@ recursion like any other, and `engine.run_scenario`, which checks every
 signal it records, decides where a run diverged.
 
 Every coefficient a block reads per step is a Python float, because
-`errors.Params` stores real fields as floats and `engine.run_scenario`
-passes the float `Scenario.dt`: a numpy scalar would send each step's
-arithmetic through numpy's scalar machinery, about twice as slow as
-Python's float path.
+`errors.Params` stores real fields as floats, `engine.run_scenario` passes
+the float `Scenario.dt` and the holds are floats in tuples and lists: a
+numpy scalar would send each step's arithmetic through numpy's scalar
+machinery, about twice as slow as Python's float path.
 """
 
 import functools
@@ -247,18 +247,18 @@ def _hold(A, B, dt):
 def _zoh(A, B, dt, *params):
     """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u, from
     one matrix exponential of [[A, B], [0, 0]]·dt (Van Loan 1978), computed
-    in Python floats, so its bits depend on no BLAS.  A hold that is not
-    finite, or whose matrix holds an entry of 2**53 or more, is a
-    ConfigError naming `params`, the parameter sets A and B were built
-    from."""
+    in Python floats, so its bits depend on no BLAS.  A (a tuple of row
+    tuples) and B (a tuple), both of floats, key `_hold`'s cache as given;
+    Ad's rows and Bd are that cache's own lists, not to be modified.  A
+    hold that is not finite, or whose matrix holds an entry of 2**53 or
+    more, is a ConfigError naming `params`, the sets A and B came from."""
     if not dt > 0:
         raise ConfigError("dt must be > 0")
-    hold = _hold(tuple(tuple(map(float, row)) for row in A),
-                 tuple(map(float, B)), float(dt))
+    hold = _hold(A, B, float(dt))
     if hold is None:
         raise ConfigError(f"no finite zero-order hold of"
                           f" {', '.join(map(repr, params))} at dt={dt}")
-    return np.array(hold[0]), np.array(hold[1])
+    return hold
 
 
 def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
@@ -268,16 +268,11 @@ def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
     give the pitch increment and next rate from (rate, delta, amp·sin(f·t),
     amp·cos(f·t)) at the step start.  Their first two columns, the plant
     block of the hold, are the undisturbed plant's own hold."""
-    A = np.array([[0.0, 1.0], [0.0, -plant.lam / plant.J_z]])
-    B = np.array([0.0, 1.0 / plant.J_z])
-    f = disturbance.frequency
-    Ae = np.zeros((4, 4))
-    Ae[:2, :2] = A
-    Ae[:2, 2] = -B
-    Ae[2, 3], Ae[3, 2] = f, -f
-    Ad, Bd = _zoh(Ae, np.concatenate((B, [0.0, 0.0])), dt, plant,
-                  disturbance)
-    return np.column_stack((Ad[:2, 1], Bd[:2], Ad[:2, 2:])).tolist()
+    J, f = plant.J_z, disturbance.frequency
+    Ad, Bd = _zoh(((0.0, 1.0, 0.0, 0.0), (0.0, -plant.lam / J, -1.0 / J, 0.0),
+                   (0.0, 0.0, 0.0, f), (0.0, 0.0, -f, 0.0)),
+                  (0.0, 1.0 / J, 0.0, 0.0), dt, plant, disturbance)
+    return [[row[1], u, row[2], row[3]] for row, u in zip(Ad, Bd[:2])]
 
 
 def _steps(value, dt, what):
@@ -377,8 +372,8 @@ class Actuator:
         Ad, Bd = _zoh(((0.0, 1.0), (-wn2, -2.0 * params.mu * params.wn)),
                       (0.0, params.gain * wn2), dt, params)
         n_slots = min(_steps(params.tau, dt, "actuator delay tau"), run_steps)
-        (self.a00, self.a01), (self.a10, self.a11) = Ad.tolist()
-        self.b_0, self.b_1 = Bd.tolist()
+        (self.a00, self.a01), (self.a10, self.a11) = Ad
+        self.b_0, self.b_1 = Bd
         self.x0 = self.x1 = 0.0
         self._line = [0.0] * n_slots
 

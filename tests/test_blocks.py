@@ -220,14 +220,13 @@ class TestZoh:
     def test_plant_closed_form(self):
         # x = [pitch, rate], J·rate' = u - lam·rate, with a = lam/J.
         J, lam, dt = 40.0, 6.0, 0.001
-        Ad, Bd = _zoh(np.array([[0.0, 1.0], [0.0, -lam / J]]),
-                      np.array([0.0, 1.0 / J]), dt)
+        Ad, Bd = _zoh(((0.0, 1.0), (0.0, -lam / J)), (0.0, 1.0 / J), dt)
         a = lam / J
         decay = math.exp(-a * dt)
         f01 = (1.0 - decay) / a
-        assert Ad[0, 0] == 1.0 and Ad[1, 0] == 0.0
-        assert Ad[1, 1] == pytest.approx(decay, abs=1e-15)
-        assert Ad[0, 1] == pytest.approx(f01, abs=1e-15)
+        assert Ad[0][0] == 1.0 and Ad[1][0] == 0.0
+        assert Ad[1][1] == pytest.approx(decay, abs=1e-15)
+        assert Ad[0][1] == pytest.approx(f01, abs=1e-15)
         assert Bd[1] == pytest.approx((1.0 - decay) / lam, abs=1e-15)
         assert Bd[0] == pytest.approx((dt - f01) / lam, abs=1e-15)
 
@@ -247,12 +246,25 @@ class TestZoh:
         # The plant with the disturbance oscillator, as `plant_step` holds
         # it; entry (0, 3) is formed by cancellation.
         J, lam = 40.0, 6.0
-        A = [[0.0, 1.0, 0.0, 0.0], [0.0, -lam / J, -1.0 / J, 0.0],
-             [0.0, 0.0, 0.0, frequency], [0.0, 0.0, -frequency, 0.0]]
-        B = [0.0, 1.0 / J, 0.0, 0.0]
+        A = ((0.0, 1.0, 0.0, 0.0), (0.0, -lam / J, -1.0 / J, 0.0),
+             (0.0, 0.0, 0.0, frequency), (0.0, 0.0, -frequency, 0.0))
+        B = (0.0, 1.0 / J, 0.0, 0.0)
         Ad, Bd = _zoh(A, B, dt)
-        _assert_hold_near_exact(
-            [row + [b] for row, b in zip(Ad.tolist(), Bd.tolist())], A, B, dt)
+        _assert_hold_near_exact([row + [b] for row, b in zip(Ad, Bd)], A, B,
+                                dt)
+
+    # Every hold above, once balanced, has a 1-norm within Higham's θ₁₃, so
+    # `_expm` squares none of them; each of these it scales and squares once.
+    @pytest.mark.parametrize("A, B, dt", [
+        (((0.0, 1.0), (-1e6, -1e3)), (0.0, 7e6), 0.005),
+        (((0.0, 1.0, 0.0, 0.0), (0.0, -6.0 / 1e-3, -1.0 / 1e-3, 0.0),
+          (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, -1.0, 0.0)),
+         (0.0, 1.0 / 1e-3, 0.0, 0.0), 0.001)],
+        ids=["servo-wn-1000-dt-5ms", "plant-J_z-1e-3"])
+    def test_squared_hold_matches_mpmath(self, A, B, dt):
+        Ad, Bd = _zoh(A, B, dt)
+        _assert_hold_near_exact([row + [b] for row, b in zip(Ad, Bd)], A, B,
+                                dt)
 
     @pytest.mark.parametrize("plant, disturbance", [
         (PitchPlantParams(J_z=1e-20), DisturbanceParams()),

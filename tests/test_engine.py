@@ -18,6 +18,7 @@ from pitchpilot.blocks import (ActuatorParams, CompensatorParams,
 from pitchpilot.engine import (TRACE_COLUMNS, LoopConfig, Scenario, Trace,
                                run_ab_pair, run_scenario, stability_probe)
 from pitchpilot.errors import ConfigError, DivergedError
+from pitchpilot.tuner import CostSpec, tune_pid
 
 
 class TestScenario:
@@ -133,6 +134,21 @@ class TestRunScenario:
         engine._plan(0.001, 11, DisturbanceParams(), PitchPlantParams(),
                      KalmanParams())
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("workflow", [
+        lambda config, sc: stability_probe(config, sc,
+                                           [0.05, 0.1, 0.15, 0.2, 0.25]),
+        lambda config, sc: tune_pid(config, sc, CostSpec(), max_evals=8),
+        run_ab_pair], ids=["probe", "tune", "ab"])
+    def test_runs_of_one_servo_compute_each_hold_once(self, quiet_config,
+                                                      workflow):
+        # The delay, the lead and the PID gains reach neither hold, so a
+        # workflow's runs miss `_hold`'s cache once for the servo and once
+        # for the plant.
+        blocks._hold.cache_clear()
+        engine._plan.cache_clear()
+        workflow(quiet_config, Scenario(duration=2.0))
+        assert blocks._hold.cache_info().misses == 2
 
     def test_diverged_run_carries_step_index(self, quiet_config):
         cfg = replace(quiet_config, pid=PidGains(k_p=1e9, k_i=0, k_d=1e9))

@@ -20,14 +20,6 @@ from pitchpilot.errors import DivergedError
 DISTURBANCE = DisturbanceParams(amplitude=2.0, frequency=5.0)
 
 
-def _hold(A, B, dt):
-    """(Ad, Bd) by the package's zero-order hold: this file checks the
-    windowed engine against a one-step loop on the same coefficients, and
-    tests/test_blocks.py checks the hold against an mpmath oracle."""
-    Ad, Bd = _zoh(A, B, dt)
-    return Ad.tolist(), Bd.tolist()
-
-
 def reference_run(config: LoopConfig, scenario: Scenario):
     """The loop advanced one step per iteration, every block written out in
     its documented operation order and the Kalman covariance computed
@@ -47,24 +39,23 @@ def reference_run(config: LoopConfig, scenario: Scenario):
     a0, a1 = float(c + 1.0), float(1.0 - c)
     lead_u = lead_y = 0.0
 
+    # The holds are the package's own `_zoh`: this loop checks the windowed
+    # engine on the same coefficients, and tests/test_blocks.py checks the
+    # holds against an mpmath oracle.
     act = config.actuator
     wn2 = act.wn * act.wn
-    ((s00, s01), (s10, s11)), (sb0, sb1) = _hold(
-        np.array([[0.0, 1.0], [-wn2, -2.0 * act.mu * act.wn]]),
-        np.array([0.0, act.gain * wn2]), dt)
+    ((s00, s01), (s10, s11)), (sb0, sb1) = _zoh(
+        ((0.0, 1.0), (-wn2, -2.0 * act.mu * act.wn)), (0.0, act.gain * wn2),
+        dt)
     servo0 = servo1 = 0.0
     line = [0.0] * min(round(act.tau / dt), n)
 
     amp = float(config.disturbance.amplitude)
     freq = float(config.disturbance.frequency)
     J_z, lam = config.plant.J_z, config.plant.lam
-    A = np.array([[0.0, 1.0], [0.0, -lam / J_z]])
-    B = np.array([0.0, 1.0 / J_z])
-    Ae = np.zeros((4, 4))
-    Ae[:2, :2] = A
-    Ae[:2, 2] = -B
-    Ae[2, 3], Ae[3, 2] = freq, -freq
-    Ad, Bd = _hold(Ae, np.concatenate((B, [0.0, 0.0])), dt)
+    Ad, Bd = _zoh(((0.0, 1.0, 0.0, 0.0), (0.0, -lam / J_z, -1.0 / J_z, 0.0),
+                   (0.0, 0.0, 0.0, freq), (0.0, 0.0, -freq, 0.0)),
+                  (0.0, 1.0 / J_z, 0.0, 0.0), dt)
     (_, p01, p0s, p0c), (_, p11, p1s, p1c) = Ad[:2]
     p0u, p1u = Bd[:2]
 
