@@ -57,6 +57,10 @@ def load_config(path=None):
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed config {path}: {exc.msg} at line {exc.lineno}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, an integer past Python's digit limit, or nesting past
+        # the recursion limit.
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config root must be a JSON object in {path}")
     return _merge(cfg, user)
@@ -66,7 +70,9 @@ def parse_value(text):
     """Parse an override value: JSON literal, falling back to a string."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
+        # Also an integer past Python's digit limit or nesting past the
+        # recursion limit: the section's build then rejects the string.
         return text
 
 

@@ -35,7 +35,7 @@ import functools
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import orjson
@@ -82,26 +82,29 @@ class Scenario(Params):
             raise ConfigError(f"dt={self.dt} too coarse (need dt <= 0.005)")
 
 
-# A trace compares and hashes by identity: field-wise equality over numpy
-# columns would raise.
+TRACE_COLUMNS = ("t", "cmd", "omega", "omega_dot", "omega_meas",
+                 "omega_filt", "error", "u_pid", "u_lead", "delta", "d_t")
+
+
+# A trace compares and hashes by identity: element-wise equality over a
+# numpy table would raise.
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Uniformly sampled record of every loop signal, one value per step."""
+    """Uniformly sampled record of every loop signal: `rows` holds one row
+    per step and one column per `TRACE_COLUMNS` name, C-ordered float64, and
+    each name reads its column as a view of `rows`."""
 
-    t: np.ndarray
-    cmd: np.ndarray
-    omega: np.ndarray
-    omega_dot: np.ndarray
-    omega_meas: np.ndarray
-    omega_filt: np.ndarray
-    error: np.ndarray
-    u_pid: np.ndarray
-    u_lead: np.ndarray
-    delta: np.ndarray
-    d_t: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self):
+        rows = np.ascontiguousarray(self.rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != len(TRACE_COLUMNS):
+            raise ValueError(f"trace table of shape {rows.shape}, not"
+                             f" (n, {len(TRACE_COLUMNS)})")
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self):
-        return len(self.t)
+        return len(self.rows)
 
     def to_csv(self, path):
         """Write the trace as CSV, each value as `repr(float(value))`.
@@ -113,12 +116,10 @@ class Trace:
         holding any such value is written with `repr` instead.  Blocks keep
         the encoder's output, not the trace's, from setting peak memory.
         """
-        cols = [np.asarray(getattr(self, name), dtype=float)
-                for name in TRACE_COLUMNS]
         with open(path, "wb") as fh:
             fh.write(_CSV_HEADER + b"\n")
             for k in range(0, len(self), _CSV_BLOCK):
-                block = np.column_stack([c[k:k + _CSV_BLOCK] for c in cols])
+                block = self.rows[k:k + _CSV_BLOCK]
                 lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY
                                      )[2:-2].split(b"],[")
                 mag = np.abs(block)
@@ -146,9 +147,10 @@ class Trace:
         parse or has rows of other than 11 values, the whole body is read
         again as UTF-8 text with `np.loadtxt`, the one grammar for files
         the writer did not produce (`+1`, `1.`, `inf`, CRLF line ends,
-        comments).  A file without rows is a ConfigError naming it, raised
-        before either parser runs when the body is empty, and without
-        numpy's empty-input warning when it holds only comments.
+        comments).  A file without rows, or whose table the `Trace`
+        constructor rejects, is a ConfigError naming it; an empty body
+        fails before either parser runs, and a body of comments without
+        numpy's empty-input warning.
         """
         try:
             with open(path, "rb") as fh:
@@ -167,15 +169,14 @@ class Trace:
                         data = np.loadtxt(text, delimiter=",", ndmin=2)
             if len(data) == 0:
                 raise ValueError("no rows")
-            if data.shape[1] != len(TRACE_COLUMNS):
-                raise ValueError(f"{data.shape[1]} columns, not"
-                                 f" {len(TRACE_COLUMNS)}")
+            return cls(data)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-        return cls(*data.T)
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(Trace))
+for _col, _name in enumerate(TRACE_COLUMNS):
+    setattr(Trace, _name, property(lambda self, col=_col: self.rows[:, col]))
+del _col, _name
 _CSV_HEADER = ",".join(TRACE_COLUMNS).encode()
 _CSV_BLOCK = 512    # rows per encoder call in `Trace.to_csv`
 _CSV_READ = 1 << 16    # bytes per decoder call in `Trace.from_csv`
@@ -228,8 +229,8 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     first step whose row of the Trace holds a value that is not finite,
     naming the first such column.  `watch(trace, k0, k1)`, if given, is
     called after each window but the last, once rows k0..k1-1 of the
-    returned Trace's columns are recorded and checked (later rows are not
-    yet written); it may end the run by raising.
+    returned Trace's `rows`, the run's one record, are written and checked
+    (later rows are not yet written); it may end the run by raising.
     """
     dt = scenario.dt
     try:
@@ -252,7 +253,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     omega, omega_dot, cmd = scenario.initial, 0.0, scenario.command
     rec[:, 0] = t
     rec[:, 1] = cmd
-    trace = Trace(*rec.T)
+    trace = Trace(rec)
 
     # The first window is the initial sample alone; the Kalman filter's
     # first update predicts with the actuator's rest deflection, which

@@ -164,9 +164,7 @@ def step_metrics(trace, start, target, band: BandSpec) -> StepMetrics:
     """Measure a start->target step response on the true pitch signal."""
     if len(trace) == 0:
         raise DomainError("empty trace")
-    t = np.asarray(trace.t, dtype=float)
-    y = np.asarray(trace.omega, dtype=float)
-    return StepTracker(start, target, band).metrics(t, y)
+    return StepTracker(start, target, band).metrics(trace.t, trace.omega)
 
 
 def devaud_report(metrics: StepMetrics) -> str:
@@ -186,8 +184,8 @@ def devaud_report(metrics: StepMetrics) -> str:
 
 def noise_envelope(trace, window_start):
     """(max, min) of the loop error over [window_start, end]."""
-    t = np.asarray(trace.t, dtype=float)
+    t = trace.t
     if not window_start < t[-1]:
         raise DomainError("window_start must precede the end of the trace")
-    err = np.asarray(trace.error, dtype=float)[t >= window_start]
+    err = trace.error[t >= window_start]
     return float(err.max()), float(err.min())

@@ -67,13 +67,22 @@ class TestSimulate:
         low = Trace.from_csv(tmp_path / "lowgain" / "trace.csv")
         assert not np.array_equal(base.omega, low.omega)
 
-    def test_malformed_config_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("body", [
+        pytest.param(b"{not json", id="not-json"),
+        pytest.param(b'{"loop": 1}\xff', id="not-utf-8"),
+        pytest.param(b'{"loop": {"pid": {"k_p": ' + b"9" * 5000 + b"}}}",
+                     id="int-9x5000"),
+        pytest.param(b"[" * 100_000, id="nested-1e5")])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(body)
         code = run_cli("simulate", "--config", str(bad), "--out",
                        str(tmp_path))
         assert code == EXIT_CONFIG
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert str(bad) in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         # `missile.m` is a paper value the airframe section no longer holds.
@@ -120,6 +129,11 @@ class TestSimulate:
                                           "missile.X_CG=NaN",
                                           "scenario.initial=1e308"
                                           " scenario.command=-1e308",
+                                          pytest.param(
+                                              "loop.pid.k_p=" + "9" * 5000,
+                                              id="loop.pid.k_p=9x5000"),
+                                          pytest.param("loop=" + "[" * 100_000,
+                                                       id="loop=[x1e5"),
                                           *NONFINITE_SIZING])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, override):
         # `size` is the only command that builds the sizing sections.
@@ -134,6 +148,7 @@ class TestSimulate:
                    else override.partition("=")[0].rsplit(".", 1)[0])
         named = NONFINITE_SIZING.get(override, f"'{section}'")
         assert named in capsys.readouterr().err
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
     @pytest.mark.parametrize("duration", ["1e12", "1e300"])
     def test_run_too_long_for_memory_exit_code(self, tmp_path, capsys,
@@ -530,7 +545,8 @@ json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
 # What follows `KEY=` on the command line.
 override_values = st.one_of(
     st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
-                     HUGE, "-" + HUGE, BIG, "-" + BIG]),
+                     HUGE, "-" + HUGE, BIG, "-" + BIG, "9" * 5000,
+                     "[" * 100_000]),
     json_scalars.map(json.dumps),
     st.lists(json_scalars, max_size=3).map(json.dumps),
     st.text(max_size=8))

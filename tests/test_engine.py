@@ -399,6 +399,55 @@ class TestTraceCsv:
         back = Trace.from_csv(path)
         assert np.array_equal(back.omega, trace.omega)
         assert np.array_equal(back.delta, trace.delta)
+        # The default (noisy) run: the table reads back bit for bit, and
+        # writing it again gives the same bytes.
+        default = run_scenario(LoopConfig(), Scenario())
+        default.to_csv(path)
+        written = path.read_bytes()
+        back = Trace.from_csv(path)
+        assert np.array_equal(back.rows.view(np.int64),
+                              default.rows.view(np.int64))
+        back.to_csv(path)
+        assert path.read_bytes() == written
+
+
+class TestTraceTable:
+    """A trace is one (n, 11) float64 table; its columns are views."""
+
+    @pytest.mark.parametrize("shape", [(11,), (5, 10), (5, 12), (5, 11, 1)])
+    def test_other_shapes_raise(self, shape):
+        with pytest.raises(ValueError, match=r"not \(n, 11\)"):
+            Trace(np.zeros(shape))
+
+    @pytest.mark.parametrize("rows", [
+        np.arange(55, dtype=np.int64).reshape(5, 11),
+        np.asfortranarray(np.arange(55.0).reshape(5, 11))])
+    def test_table_is_c_ordered_float64(self, rows):
+        trace = Trace(rows)
+        assert trace.rows.dtype == np.float64
+        assert trace.rows.flags.c_contiguous
+        assert np.array_equal(trace.rows, np.arange(55.0).reshape(5, 11))
+
+    def test_columns_are_views_of_the_table(self):
+        trace = Trace(np.arange(55.0).reshape(5, 11))
+        assert np.shares_memory(trace.omega, trace.rows)
+        for col, name in enumerate(TRACE_COLUMNS):
+            assert np.array_equal(getattr(trace, name), trace.rows[:, col])
+        with pytest.raises(AttributeError):
+            trace.omega = np.zeros(5)
+
+    def test_run_returns_its_record_uncopied(self, quiet_config):
+        # `run_scenario` allocates its record with np.empty and hands that
+        # array to the Trace.
+        made, empty = [], np.empty
+
+        def recording_empty(*args, **kwargs):
+            made.append(empty(*args, **kwargs))
+            return made[-1]
+
+        with mock.patch.object(np, "empty", recording_empty):
+            trace = run_scenario(quiet_config, Scenario(duration=0.05))
+        assert any(trace.rows is array for array in made)
 
 
 def _repr_csv(columns):
@@ -411,7 +460,7 @@ def _repr_csv(columns):
 def _written(columns):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        Trace(*columns).to_csv(path)
+        Trace(np.transpose(columns)).to_csv(path)
         return path.read_bytes()
 
 
@@ -616,8 +665,7 @@ class TestTraceCsvReader:
     def test_writer_files_never_reach_loadtxt(self, case, noisy_b,
                                               quiet_config, tmp_path):
         trace = {"noisy": noisy_b,
-                 "first-600-rows": Trace(*(getattr(noisy_b, name)[:600]
-                                           for name in TRACE_COLUMNS)),
+                 "first-600-rows": Trace(noisy_b.rows[:600]),
                  "noise-free": run_scenario(quiet_config, Scenario())}[case]
         path = tmp_path / "trace.csv"
         trace.to_csv(path)

@@ -14,14 +14,11 @@ from pitchpilot.metrics import (BandSpec, StepMetrics, StepTracker,
 
 
 def make_trace(t, omega, cmd=None, error=None):
-    t = np.asarray(t, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    zeros = np.zeros_like(t)
-    fields = {name: zeros for name in TRACE_COLUMNS}
-    fields.update(t=t, omega=omega,
-                  cmd=cmd if cmd is not None else zeros,
-                  error=error if error is not None else zeros)
-    return Trace(**fields)
+    rows = np.zeros((len(t), len(TRACE_COLUMNS)))
+    for name, column in dict(t=t, omega=omega, cmd=cmd, error=error).items():
+        if column is not None:
+            rows[:, TRACE_COLUMNS.index(name)] = column
+    return Trace(rows)
 
 
 class TestBandForStep:
