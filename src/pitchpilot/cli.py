@@ -87,12 +87,13 @@ def _load(args):
 
 
 def _outdir(path):
+    """`--out` as a Path, refused if it or its nearest existing ancestor is
+    not a directory.  `_write` makes it, so a failed command leaves none."""
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(
-            f"cannot use output directory {out}: {exc}") from exc
+    found = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not found.is_dir():
+        raise ConfigError(f"cannot use output directory {out}:"
+                          f" {found} is not a directory")
     return out
 
 
@@ -101,6 +102,11 @@ def _write(out, outputs):
     all are staged in a temporary directory before any is renamed into
     `out`.  A name taken by a directory is refused before any write, since
     renaming onto it would fail after earlier renames had landed."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(
+            f"cannot use output directory {out}: {exc}") from exc
     for name in outputs:
         if (out / name).is_dir():
             raise ConfigError(f"cannot write output {out / name}:"

@@ -24,11 +24,12 @@ the plant's own hold, so without noise or disturbance it is bit-exact.
 
 A workflow repeats runs that differ only in the controller or the actuator,
 so what those never reach is computed once per configuration and kept for
-the next run in one plan, `_plan`: the time grid k·dt,
-amplitude·cos(frequency·t) for the plant's exact hold, the plant's hold
-rows and the Kalman filter's `blocks.GainSchedule`.  A run draws its noise
-in one `NoiseSource.sample` call; per window stay the block recursions and
-the disturbance sine (`disturbance_at`).
+the next run in one plan, `_plan`: the time grid k·dt, the disturbance
+amplitude·sin(frequency·t) and amplitude·cos(frequency·t) for the plant's
+exact hold, the plant's hold rows and the Kalman filter's
+`blocks.GainSchedule`.  A run draws its noise in one `NoiseSource.sample`
+call and takes one slice of each disturbance array per window; per window
+stay the block recursions.
 """
 
 import functools
@@ -245,8 +246,8 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     act = Actuator(config.actuator, dt, run_steps=n)
     window = len(act.pending) + 1
     noise = NoiseSource(config.noise, dt, scenario.seed).sample(n)
-    t, d_cos, plant_rows, schedule = _plan(dt, n, config.disturbance,
-                                           config.plant, config.kalman)
+    t, d_sin, d_cos, plant_rows, schedule = _plan(
+        dt, n, config.disturbance, config.plant, config.kalman)
     kal = Kalman(schedule, scenario.initial) if schedule else None
     (p01, p0u, p0s, p0c), (p11, p1u, p1s, p1c) = plant_rows
 
@@ -259,6 +260,9 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     # first update predicts with the actuator's rest deflection, which
     # leaves the prediction at the initial state.
     k0, k1 = 0, 1
+    # Later windows slice the plan's sine.  This one call per run is the
+    # `blocks.disturbance_at` that perfbench/tracing.py times, and
+    # tests/test_trace_hooks.py fails if no call reaches it.
     ds = disturbance_at(config.disturbance, [0.0])
     omegas, rates, drive = [omega], [omega_dot], [0.0]
     while True:
@@ -288,12 +292,13 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
         # its delay line.
         k2 = min(k1 + window, n)
         drive = [delta[-1], *act.pending][:k2 - k1]
-        d_from = ds[-1]
         k0, k1 = k1, k2
-        ds = disturbance_at(config.disturbance, t[k0:k1].tolist())
+        # The disturbance at steps k0-1 .. k1-1: its first k1-k0 entries
+        # drive the plant, its last k1-k0 are the window's d_t column.
+        d_steps = d_sin[k0 - 1:k1].tolist()
+        ds = d_steps[1:]
         omegas, rates = [], []
-        for u, d, d_c in zip(drive, [d_from, *ds],
-                             d_cos[k0 - 1:k1 - 1].tolist()):
+        for u, d, d_c in zip(drive, d_steps, d_cos[k0 - 1:k1 - 1].tolist()):
             # Pitch is the integral of rate, so its coefficient on pitch is
             # exactly 1 and the update is written as an increment.
             omega += p01 * omega_dot + p0u * u + p0s * d + p0c * d_c
@@ -306,18 +311,21 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
 def _plan(dt, n, disturbance: DisturbanceParams, plant: PitchPlantParams,
           kalman: KalmanParams):
     """What a run of n steps needs that no controller or actuator setting
-    reaches: the time grid k·dt, amplitude·cos(frequency·t) on it, the
+    reaches: the time grid k·dt, amplitude·sin(frequency·t) (`math.sin`,
+    as in `disturbance_at`) and amplitude·cos(frequency·t) on it, the
     plant's one exact hold (`plant_step`'s rows) and the Kalman filter's
-    n-update `GainSchedule` on those rows (None with the filter off).  The
-    sine stays a per-window `disturbance_at` call."""
+    n-update `GainSchedule` on those rows (None with the filter off)."""
     rows = plant_step(plant, disturbance, dt)
     schedule = GainSchedule(kalman, rows, dt, n) if kalman.enabled else None
     amp, freq = disturbance.amplitude, disturbance.frequency
     t = np.arange(n) * dt
+    d_sin = np.fromiter((amp * math.sin(freq * (k * dt)) for k in range(n)),
+                        float, n)
     d_cos = np.fromiter((amp * math.cos(freq * (k * dt)) for k in range(n)),
                         float, n)
-    t.flags.writeable = d_cos.flags.writeable = False   # shared across runs
-    return t, d_cos, rows, schedule
+    # Shared across runs.
+    t.flags.writeable = d_sin.flags.writeable = d_cos.flags.writeable = False
+    return t, d_sin, d_cos, rows, schedule
 
 
 def run_ab_pair(config: LoopConfig, scenario: Scenario):

@@ -165,6 +165,26 @@ class TestSimulate:
                        "--set", "loop.pid.k_d=1e9", *QUIET)
         assert code == EXIT_DIVERGED
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--set", "loop.pid.k_p=abc"], EXIT_CONFIG),
+        (["--no-noise", "--set", "loop.pid.k_p=1e9", "--set", "loop.pid.k_i=0",
+          "--set", "loop.pid.k_d=1e9"], EXIT_DIVERGED)],
+        ids=["invalid-section", "diverged"])
+    def test_failed_command_makes_no_out_directory(self, tmp_path, argv,
+                                                   code):
+        out = tmp_path / "new" / "run"
+        assert run_cli("simulate", *argv, "--out", str(out)) == code
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_below_a_file_is_refused_before_the_run(self, tmp_path,
+                                                        monkeypatch, capsys):
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr("pitchpilot.cli.cmd_simulate", lambda *args:
+                            pytest.fail("the command ran"))
+        assert run_cli("simulate", "--out",
+                       str(tmp_path / "file" / "run")) == EXIT_CONFIG
+        assert "file is not a directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override, named", [
         ("loop.plant.J_z=1e-300", "PitchPlantParams(J_z=1e-300"),
         ("loop.actuator.wn=1e200", "ActuatorParams("),

@@ -271,6 +271,19 @@ class TestWindows:
         trace = run_scenario(cfg, Scenario(duration=duration))
         assert calls == [len(trace)]
 
+    @pytest.mark.parametrize("tau, duration", [(0.1, 10.0), (0.0, 0.5)])
+    def test_disturbance_is_evaluated_once_per_run(self, monkeypatch, tau,
+                                                   duration):
+        # Later windows slice the plan's sine; one call per window would be
+        # 100 in the default run and 500 at tau = 0.
+        calls = []
+        at = blocks.disturbance_at
+        monkeypatch.setattr(engine, "disturbance_at", lambda params, times: (
+            calls.append(list(times)) or at(params, times)))
+        run_scenario(LoopConfig(actuator=ActuatorParams(tau=tau)),
+                     Scenario(duration=duration))
+        assert calls == [[0.0]]
+
     @pytest.mark.parametrize("tau, duration", [(0.1, 10.0), (0.0, 0.05),
                                                (0.26, 0.2)])
     def test_watch_sees_each_window_but_the_last(self, noisy_config, tau,

@@ -12,7 +12,8 @@ import pytest
 
 from pitchpilot.blocks import (ActuatorParams, CompensatorParams,
                                DisturbanceParams, KalmanParams, NoiseParams,
-                               PidGains, PitchPlantParams, _zoh)
+                               PidGains, PitchPlantParams, _zoh,
+                               disturbance_at)
 from pitchpilot.engine import (TRACE_COLUMNS, LoopConfig, Scenario, _plan,
                                run_scenario)
 from pitchpilot.errors import DivergedError
@@ -249,3 +250,38 @@ def test_mixed_runs_in_any_order_give_the_same_traces():
     backwards = [_bytes(run_scenario(*run)) for run in reversed(runs)][::-1]
     assert forwards == cold
     assert backwards == cold
+
+
+def _negative_amplitude():
+    # Validation refuses amplitude < 0; a parameter set built past it shows
+    # that a zero keeps its sign: -2.0 * sin(0.0) is -0.0.
+    params = DisturbanceParams(frequency=3.0)
+    object.__setattr__(params, "amplitude", -2.0)
+    return params
+
+
+@pytest.mark.parametrize("disturbance, dt", [
+    (DisturbanceParams(), 0.001),
+    (_negative_amplitude(), 0.001),
+    (DisturbanceParams(amplitude=0.0, frequency=7.0), 0.001),
+    (DisturbanceParams(amplitude=1.5, frequency=1e4), 0.001),
+    (DISTURBANCE, 0.005)],
+    ids=["default", "negative-amplitude", "zero-amplitude", "1e4-rad-s",
+         "dt-5ms"])
+def test_plan_sine_is_disturbance_at_bit_for_bit(disturbance, dt):
+    _clear_caches()
+    t, d_sin, *_ = _plan(dt, 2001, disturbance, PitchPlantParams(),
+                         KalmanParams())
+    expected = np.array(disturbance_at(disturbance, t.tolist()))
+    assert d_sin.dtype == np.float64
+    assert np.array_equal(d_sin.view(np.int64), expected.view(np.int64))
+
+
+def test_plan_arrays_are_read_only():
+    # Runs of one configuration share the plan, so no run may write to it.
+    _clear_caches()
+    t, d_sin, d_cos, *_ = _plan(0.001, 11, DISTURBANCE, PitchPlantParams(),
+                                KalmanParams())
+    for shared in (t, d_sin, d_cos):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1.0
