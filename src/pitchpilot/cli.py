@@ -80,9 +80,9 @@ def _load(args):
         cfgmod.apply_override(cfg, key.strip(), cfgmod.parse_value(raw.strip()))
     for key in ("seed", "duration", "dt"):
         if getattr(args, key, None) is not None:
-            cfg["scenario"][key] = getattr(args, key)
+            cfgmod.apply_override(cfg, f"scenario.{key}", getattr(args, key))
     if getattr(args, "no_noise", False):
-        cfg["loop"]["noise"]["enabled"] = False
+        cfgmod.apply_override(cfg, "loop.noise.enabled", False)
     return cfg
 
 
@@ -185,9 +185,7 @@ def cmd_ab(args, cfg):
 
 
 def cmd_size(args, cfg):
-    report = sizing_report(cfgmod.missile_from(cfg),
-                           cfgmod.derivatives_from(cfg),
-                           cfgmod.tail_sizing_from(cfg))
+    report = sizing_report(*cfgmod.airframe_from(cfg))
     return {"sizing.txt": report}, report
 
 
@@ -199,13 +197,14 @@ def _parse_values(text):
             continue
         try:
             if ":" in chunk:
-                lo, hi = chunk.split(":", 1)
-                values.extend(float(v) for v in range(int(lo), int(hi) + 1))
+                lo, hi = (int(v) for v in chunk.split(":", 1))
+                float(lo), float(hi)   # OverflowError past the float range
+                values.extend(float(v) for v in range(lo, hi + 1))
             else:
                 values.append(float(chunk))
-        except ValueError as exc:
-            raise ConfigError(f"sweep value '{chunk}' is not a number"
-                              " or an integer range lo:hi") from exc
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"sweep value '{chunk}' is not a float"
+                              " or an integer range lo:hi of floats") from exc
     return tuple(values)
 
 

@@ -29,15 +29,20 @@ def default_config():
     return {name: asdict(cls()) for name, cls in SECTIONS.items()}
 
 
-def _merge(base, override, path=""):
+# A key is a section if its default is one, so a leaf that an earlier
+# override set to a JSON object is still a leaf.
+_SCHEMA = default_config()
+
+
+def _merge(base, override, path="", schema=_SCHEMA):
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in schema:
             raise ConfigError(f"unknown configuration key '{where}'")
-        if isinstance(base[key], dict):
+        if isinstance(schema[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"'{where}' must be a section, got {value!r}")
-            _merge(base[key], value, where)
+            _merge(base[key], value, where, schema[key])
         else:
             base[key] = value
     return base
@@ -109,13 +114,7 @@ def scenario_from(cfg) -> Scenario:
     return _section(cfg, "scenario")
 
 
-def missile_from(cfg) -> MissileConfig:
-    return _section(cfg, "missile")
-
-
-def derivatives_from(cfg) -> AeroDerivatives:
-    return _section(cfg, "derivatives")
-
-
-def tail_sizing_from(cfg) -> TailSizingInputs:
-    return _section(cfg, "tail_sizing")
+def airframe_from(cfg) -> tuple:
+    """The airframe sections in `aero.sizing_report`'s argument order."""
+    return tuple(_section(cfg, name)
+                 for name in ("missile", "derivatives", "tail_sizing"))

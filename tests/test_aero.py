@@ -132,6 +132,11 @@ class TestStaticMargin:
         with pytest.raises(DomainError):
             static_margin(3.15, 2.5, 0)
 
+    @pytest.mark.parametrize("d", [0.0, -0.2])
+    def test_calibers_reject_bad_diameter(self, d):
+        with pytest.raises(DomainError, match="d must be > 0"):
+            static_margin_calibers(3.15, 2.5, d)
+
     def test_rejects_margin_past_the_float_range(self):
         with pytest.raises(DomainError, match="static margin = -inf"):
             static_margin(-1e308, 1e308, 5.2)

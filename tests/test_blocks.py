@@ -13,6 +13,16 @@ from pitchpilot.blocks import (Actuator, ActuatorParams, CompensatorParams,
 from pitchpilot.errors import ConfigError, DomainError
 
 
+@pytest.mark.parametrize("build", [
+    lambda dt: Pid(PidGains(), dt),
+    lambda dt: Lead(CompensatorParams(), dt),
+    lambda dt: _zoh(((0.0,),), (1.0,), dt)], ids=["Pid", "Lead", "_zoh"])
+@pytest.mark.parametrize("dt", [0.0, -0.001])
+def test_nonpositive_dt_rejected(build, dt):
+    with pytest.raises(ConfigError, match="dt must be > 0"):
+        build(dt)
+
+
 class TestPid:
     def test_constant_error(self):
         dt = 0.001
@@ -274,6 +284,17 @@ class TestZoh:
         # within 1 once rounded, e.g. the disturbance's phase per step.
         with pytest.raises(ConfigError, match="no finite zero-order hold"):
             plant_step(plant, disturbance, 0.001)
+
+    @pytest.mark.parametrize("A, B, dt", [
+        # Bd[0] = 1e308·(9 + e⁻¹⁰) is past the float range, so the power of
+        # two that scales it back to B's size overflows.
+        (((0.0, 1.0), (0.0, -1.0)), (0.0, 1e308), 10.0),
+        # exp(1000) overflows in the squarings: the hold is not finite.
+        (((1000.0,),), (1.0,), 1.0)],
+        ids=["Bd-past-the-float-range", "Ad-not-finite"])
+    def test_hold_that_overflows_is_refused(self, A, B, dt):
+        with pytest.raises(ConfigError, match="no finite zero-order hold"):
+            _zoh(A, B, dt)
 
     @pytest.mark.parametrize("gain", [1e40, 1e75, 1e90, 1e100, -1e300])
     def test_hold_of_a_huge_input_gain(self, gain):

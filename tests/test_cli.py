@@ -302,6 +302,46 @@ def test_option_the_command_would_ignore_is_a_usage_error(tmp_path, argv):
     assert exc.value.code == EXIT_CONFIG
 
 
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+# Each scenario flag, the `--set` item it stands for, and a `--set` item
+# that the flag overrides: a leaf set to a JSON object is still a leaf.
+FLAGS = [(["--seed", "3"], "scenario.seed=3", "scenario.seed=5"),
+         (["--seed", "3"], "scenario.seed=3", "scenario.seed={}"),
+         (["--duration", "0.5"], "scenario.duration=0.5",
+          "scenario.duration=0.3"),
+         (["--dt", "0.002"], "scenario.dt=0.002", "scenario.dt=0.001"),
+         (["--no-noise"], "loop.noise.enabled=false",
+          "loop.noise.enabled=true")]
+
+
+@pytest.mark.parametrize("flag, item, conflict", FLAGS,
+                         ids=["seed", "seed-over-object", "duration", "dt",
+                              "no-noise"])
+def test_flag_writes_what_its_set_twin_writes(tmp_path, flag, item,
+                                              conflict):
+    base = ["simulate", "--set", "scenario.duration=0.4"]
+    runs = {"base": base, "flag": [*base, *flag],
+            "set": [*base, "--set", item],
+            "flag-beats-set": [*base, "--set", conflict, *flag]}
+    for name, argv in runs.items():
+        assert run_cli(*argv, "--out", str(tmp_path / name)) == EXIT_OK
+    flagged = _files(tmp_path / "flag")
+    assert _files(tmp_path / "set") == flagged
+    assert _files(tmp_path / "flag-beats-set") == flagged
+    assert _files(tmp_path / "base")["trace.csv"] != flagged["trace.csv"]
+
+
+def test_set_without_equals_is_a_usage_error(tmp_path, capsys):
+    assert run_cli("simulate", "--set", "loop.pid.k_p", "--out",
+                   str(tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: --set expects KEY=VALUE, got 'loop.pid.k_p'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of default outputs written by the row-by-row `repr` trace writer
 # and the reports before huge values took exponent form.  The zero-order
 # holds are computed in Python floats, so no BLAS kernel moves them (see
@@ -429,6 +469,34 @@ def test_unwritable_output_exit_code(tmp_path, capsys, command, name):
     assert list(tmp_path.iterdir()) == [tmp_path / name]
 
 
+def _raise_oserror(*args, **kwargs):
+    raise OSError(30, "Read-only file system")
+
+
+def test_out_that_cannot_be_made_exit_code(tmp_path, capsys, monkeypatch):
+    # Permission bits do not stop root, so the file system is made to fail.
+    monkeypatch.setattr(Path, "mkdir", _raise_oserror)
+    out = tmp_path / "run"
+    assert run_cli("size", "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot use output directory {out}:")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("owner, name", [(tempfile, "mkdtemp"),
+                                         (Trace, "to_csv")],
+                         ids=["mkdtemp", "to_csv"])
+def test_failed_write_exit_code(tmp_path, capsys, monkeypatch, owner, name):
+    monkeypatch.setattr(owner, name, _raise_oserror)
+    assert run_cli("simulate", "--out", str(tmp_path),
+                   *WRITERS["simulate"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:")
+    assert "Read-only file system" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "--set", "scenario.command=10"],   # a step from 10 to 10
      EXIT_CONFIG),
@@ -478,11 +546,20 @@ class TestSweepAndTune:
         assert run_cli("sweep", "--out", str(tmp_path), "--values", ",",
                        *NO_DISTURBANCE) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("values", ["0.5:2", "a", "nan,inf"],
-                             ids=["float-range", "non-number", "non-finite"])
-    def test_malformed_values_usage_error(self, tmp_path, values):
-        assert run_cli("sweep", "--out", str(tmp_path), "--values", values,
+    # A range's ends are refused before it is expanded, or 1:HUGE counts
+    # towards 10**401 until memory runs out.
+    @pytest.mark.parametrize("values", ["0.5:2", "a", "nan,inf",
+                                        f"{HUGE}:{HUGE}", f"1:{HUGE}"],
+                             ids=["float-range", "non-number", "non-finite",
+                                  "huge-range", "range-to-huge"])
+    def test_malformed_values_usage_error(self, tmp_path, capsys, values):
+        out = tmp_path / "run"
+        assert run_cli("sweep", "--out", str(out), "--values", values,
                        *NO_DISTURBANCE) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert values.split(",")[0] in err
+        assert not out.exists()
 
     def test_swept_value_fails_as_set_does(self, tmp_path, capsys):
         assert run_cli("sweep", "--out", str(tmp_path), "--values", "7,nan",

@@ -61,9 +61,7 @@ class TestDefaults:
 
     def test_builders_accept_defaults(self):
         cfg = cfgmod.default_config()
-        cfgmod.missile_from(cfg)
-        cfgmod.derivatives_from(cfg)
-        cfgmod.tail_sizing_from(cfg)
+        cfgmod.airframe_from(cfg)
         cfgmod.loop_config_from(cfg)
         cfgmod.scenario_from(cfg)
 
@@ -91,6 +89,12 @@ class TestLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             cfgmod.load_config(tmp_path / "absent.json")
+
+    def test_root_must_be_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="root must be a JSON object"):
+            cfgmod.load_config(path)
 
 
 class TestOverrides:

@@ -366,6 +366,13 @@ class TestStabilityProbe:
         assert verdicts[0.0] is True
         assert verdicts[0.1] is True
 
+    def test_diverged_run_is_unstable(self, quiet_config):
+        config = replace(quiet_config,
+                         pid=PidGains(k_p=1e9, k_i=0.0, k_d=1e9))
+        with pytest.raises(DivergedError):
+            run_scenario(config, Scenario())
+        assert stability_probe(config, Scenario(), [0.1]) == [(0.1, False)]
+
     def test_monotone_verdicts(self, probe_verdicts):
         verdicts = probe_verdicts
         seen_unstable = False

@@ -126,6 +126,11 @@ class TestStepMetrics:
         with pytest.raises(NoResponseError):
             step_metrics(trace, 10, 1, band_for_step(10, 1, 0.05))
 
+    def test_empty_trace(self):
+        trace = Trace(np.empty((0, len(TRACE_COLUMNS))))
+        with pytest.raises(DomainError, match="empty trace"):
+            step_metrics(trace, 10, 1, band_for_step(10, 1, 0.05))
+
 
 # The vectorised `step_metrics` that `StepTracker` replaced, kept verbatim
 # as the reference: a rising and a falling branch over the whole trace.
@@ -298,6 +303,10 @@ class TestStepTracker:
             whole = _outcome(step_metrics, make_trace(t, y), start, target,
                              band)
             assert _same(_outcome(batched), whole)
+
+    def test_degenerate_step_rejected(self):
+        with pytest.raises(DomainError, match="degenerate step"):
+            StepTracker(10.0, 10.0, BandSpec(10.0, 0.5))
 
 
 class TestDevaudReport:
