@@ -87,37 +87,37 @@ def _load(args):
 
 
 def _outdir(path):
-    """`--out` as a Path, refused if it or its nearest existing ancestor is
-    not a directory.  `_write` makes it, so a failed command leaves none."""
+    """The nearest existing directory at or above `--out`, where `_write`
+    stages; refused if the nearest existing path is not a directory."""
     out = Path(path)
     found = next((p for p in (out, *out.parents) if p.exists()), out)
     if not found.is_dir():
         raise ConfigError(f"cannot use output directory {out}:"
                           f" {found} is not a directory")
-    return out
+    return found
 
 
-def _write(out, outputs):
+def _write(out, base, outputs):
     """Write every output (a file name's text or `Trace`) to `out`, or none:
-    all are staged in a temporary directory before any is renamed into
-    `out`.  A name taken by a directory is refused before any write, since
-    renaming onto it would fail after earlier renames had landed."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(
-            f"cannot use output directory {out}: {exc}") from exc
+    all are staged in a temporary directory in `base`, and only then is
+    `out` made and each renamed into it.  A name taken by a directory is
+    refused first, as renaming onto it would fail after earlier renames."""
     for name in outputs:
         if (out / name).is_dir():
             raise ConfigError(f"cannot write output {out / name}:"
                               " it is a directory")
-    stage = Path(tempfile.mkdtemp(dir=out, prefix=".pitchpilot-"))
+    stage = Path(tempfile.mkdtemp(dir=base, prefix=".pitchpilot-"))
     try:
         for name, data in outputs.items():
             if isinstance(data, Trace):
                 data.to_csv(stage / name)
             else:
                 (stage / name).write_text(data, encoding="utf-8")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(
+                f"cannot use output directory {out}: {exc}") from exc
         for name in outputs:
             (stage / name).replace(out / name)
     finally:
@@ -174,7 +174,7 @@ def cmd_ab(args, cfg):
     if m_a.t_s is not None and m_b.t_s is not None:
         lines.append(f"  settling time: {improvement(m_a.t_s, m_b.t_s)} %")
     lines.append(f"  peak overshoot: {improvement(m_a.m_p, m_b.m_p)} %")
-    if loop.noise.enabled:
+    if (trace_a.omega_meas != trace_a.omega).any():   # noise reached the loop
         for leg, trace in (("A", trace_a), ("B", trace_b)):
             mx, mn = noise_envelope(trace, scenario.duration / 2)
             lines.append(f"Noise envelope {leg}: max {fixed(mx, '.3f')}"
@@ -189,23 +189,30 @@ def cmd_size(args, cfg):
     return {"sizing.txt": report}, report
 
 
+# The most values one sweep takes, about half an hour of default runs.
+MAX_SWEEP_VALUES = 100_000
+
+
 def _parse_values(text):
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    # Ranges are counted as they are read and expanded once all are.
+    parts, count = [], 0
+    for chunk in filter(None, map(str.strip, text.split(","))):
         try:
             if ":" in chunk:
                 lo, hi = (int(v) for v in chunk.split(":", 1))
                 float(lo), float(hi)   # OverflowError past the float range
-                values.extend(float(v) for v in range(lo, hi + 1))
+                parts.append(range(lo, hi + 1))
+                count += max(hi - lo + 1, 0)
             else:
-                values.append(float(chunk))
+                parts.append((float(chunk),))
+                count += 1
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"sweep value '{chunk}' is not a float"
                               " or an integer range lo:hi of floats") from exc
-    return tuple(values)
+        if count > MAX_SWEEP_VALUES:
+            raise ConfigError(f"sweep value '{chunk}' takes the sweep past"
+                              f" {MAX_SWEEP_VALUES} values")
+    return tuple(float(v) for part in parts for v in part)
 
 
 def cmd_sweep(args, cfg):
@@ -296,10 +303,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args) if "config" in args else None
-        out = _outdir(args.out) if "out" in args else None
+        base = _outdir(args.out) if "out" in args else None
         outputs, text = args.func(args, cfg)
         if outputs:
-            _write(out, outputs)
+            _write(Path(args.out), base, outputs)
     except PitchPilotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED if isinstance(exc, DivergedError) else EXIT_CONFIG

@@ -136,20 +136,19 @@ class Trace:
 
         The file is opened once and its header checked once.  The body is
         read in blocks of about 64 KiB of whole lines (`_CSV_READ`; a line
-        longer than a block carries into the next read), each parsed in C
-        by one `orjson.loads` call as `[[row],[row],...]` into one (m, 11)
-        float64 array, so the peak memory stays near twice the trace.  A
-        block takes this path only if its bytes are `0-9 . , + - e E` and
-        newlines, and its rows hold no integer field `-0`, which JSON reads
-        as the integer 0.  Within those bytes JSON's number grammar is a
-        subset of `np.loadtxt`'s (JSON takes `+` only in an exponent, as
-        `repr` writes 1e+16), and both round correctly, so every number
-        reads back to the same double.  If a block fails a check, fails to
-        parse or has rows of other than 11 values, the whole body is read
-        again as UTF-8 text with `np.loadtxt`, the one grammar for files
-        the writer did not produce (`+1`, `1.`, `inf`, CRLF line ends,
-        comments).  A file without rows, or whose table the `Trace`
-        constructor rejects, is a ConfigError naming it; an empty body
+        longer than a block carries into the next read), each parsed in C by
+        one `orjson.loads` call as `[[row],[row],...]` into one float64
+        array, so the peak memory stays near twice the trace.  A block takes
+        this path only if its bytes are `0-9 . , + - e E` and newlines, and
+        its rows hold no integer field `-0`, which JSON reads as the integer
+        0.  Within those bytes JSON's number grammar is a subset of
+        `np.loadtxt`'s (JSON takes `+` only in an exponent, as `repr` writes
+        1e+16), and both round correctly, so every number reads back to the
+        same double.  If a block fails a check or fails to parse, the whole
+        body is read again as UTF-8 text with `np.loadtxt`, the one grammar
+        for files the writer did not produce (`+1`, `1.`, `inf`, CRLF line
+        ends, comments).  Either way, a file without rows or not 11 wide is
+        a ConfigError naming it (`Trace` checks the width); an empty body
         fails before either parser runs, and a body of comments without
         numpy's empty-input warning.
         """
@@ -185,10 +184,10 @@ _JSON_BYTES = b"0123456789.,+-eE\n"    # the bytes a block may hold
 
 
 def _json_rows(fh):
-    """The rows left in the binary file `fh` as one (n, 11) array, read by
-    orjson a block of whole lines at a time (n = 0 for blank lines), or
-    None if a block is not plain JSON numbers in rows of 11."""
-    blocks, rest = [np.empty((0, len(TRACE_COLUMNS)))], b""
+    """The rows left in the binary file `fh` as one array, read by orjson a
+    block of whole lines at a time (an empty (0, 11) table for a body
+    without rows), or None if a block is not plain JSON numbers."""
+    blocks, rest = [], b""
     while True:
         chunk = fh.read(_CSV_READ)
         text = rest + chunk
@@ -200,20 +199,19 @@ def _json_rows(fh):
                 return None
             blocks.append(block)
         if not chunk:
-            return np.concatenate(blocks)
+            return (np.concatenate(blocks) if blocks
+                    else np.empty((0, len(TRACE_COLUMNS))))
 
 
 def _json_block(lines):
-    """Newline-separated CSV rows as an (m, 11) float64 array parsed by
-    orjson, or None where orjson and `np.loadtxt` could disagree."""
+    """CSV rows as one float64 table of any width, parsed by orjson, or None
+    where orjson fails or could read them differently from `np.loadtxt`."""
     if lines.translate(None, _JSON_BYTES):    # leaves any other byte
         return None
     try:
         block = np.array(orjson.loads(b"[[" + lines.replace(b"\n", b"],[")
                                       + b"]]"), dtype=float)
     except ValueError:    # not JSON, or ragged rows
-        return None
-    if block.shape[1] != len(TRACE_COLUMNS):
         return None
     # An integer field -0 read as 0 is a zero: scan only blocks with one.
     if not block.all() and (b"-0," in lines or b"-0\n" in lines

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -264,6 +266,30 @@ class TestAb:
                        "scenario.initial=1e300", "--set",
                        "loop.actuator.tau=0.01") == EXIT_OK
 
+    def test_zero_variance_reports_as_no_noise(self, tmp_path):
+        # Both spellings draw no noise, so the run decides that the report
+        # has no noise envelope.
+        written = []
+        for spelling in (["--set", "loop.noise.variance=0"], ["--no-noise"]):
+            out = tmp_path / spelling[-1]
+            assert run_cli("ab", "--out", str(out), "--duration", "2",
+                           *spelling) == EXIT_OK
+            written.append({name: (out / name).read_bytes() for name in
+                            ("trace_a.csv", "trace_b.csv", "ab_report.txt")})
+        assert written[0] == written[1]
+        assert b"Noise envelope" not in written[0]["ab_report.txt"]
+
+    def test_noise_envelope_of_huge_errors(self, tmp_path):
+        # Noise of deviation 1e150 moves a pitch near 1e150, so the envelope
+        # is printed, in exponent form and without a warning.
+        assert run_cli("ab", "--out", str(tmp_path), "--duration", "2",
+                       "--set", "scenario.initial=1e150",
+                       "--set", "loop.noise.variance=1e300",
+                       "--set", "loop.actuator.tau=0.01") == EXIT_OK
+        report = (tmp_path / "ab_report.txt").read_text()
+        assert re.search(r"Noise envelope A: max \S+e\+149 min -\S+e\+149",
+                         report)
+
     def test_noise_envelopes_reported(self, tmp_path):
         code = run_cli("ab", "--out", str(tmp_path), "--duration", "6",
                        "--set", "loop.disturbance.amplitude=0")
@@ -497,6 +523,48 @@ def test_failed_write_exit_code(tmp_path, capsys, monkeypatch, owner, name):
     assert list(tmp_path.iterdir()) == []
 
 
+def _disk_full(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+# Where a write can fail, and whose outputs reach it: a `Trace` is written
+# only by `simulate` and `ab`.
+FAILING_WRITES = {"mkdir": (Path, "mkdir"), "mkdtemp": (tempfile, "mkdtemp"),
+                  "write_text": (Path, "write_text"),
+                  "to_csv": (Trace, "to_csv")}
+
+
+@pytest.mark.parametrize("command, failing", [
+    (command, failing) for command in WRITERS for failing in FAILING_WRITES
+    if failing != "to_csv" or command in ("simulate", "ab")])
+def test_failed_write_leaves_no_new_out(tmp_path, capsys, monkeypatch,
+                                        command, failing):
+    # The outputs are staged in tmp_path, the nearest existing directory,
+    # and NEW/run is made only once all of them are staged.
+    monkeypatch.setattr(*FAILING_WRITES[failing], _disk_full)
+    out = tmp_path / "NEW" / "run"
+    assert run_cli(command, "--out", str(out),
+                   *WRITERS[command]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot use output directory {out}:"
+                          if failing == "mkdir"
+                          else "error: cannot write output:")
+    assert "No space left on device" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_failed_rename_exit_code(tmp_path, capsys, monkeypatch, command):
+    # A rename fails after NEW/run was made, which README names as the one
+    # way a failed command can leave a new --out.
+    monkeypatch.setattr(Path, "replace", _disk_full)
+    assert run_cli(command, "--out", str(tmp_path / "NEW" / "run"),
+                   *WRITERS[command]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "--set", "scenario.command=10"],   # a step from 10 to 10
      EXIT_CONFIG),
@@ -546,12 +614,15 @@ class TestSweepAndTune:
         assert run_cli("sweep", "--out", str(tmp_path), "--values", ",",
                        *NO_DISTURBANCE) == EXIT_CONFIG
 
-    # A range's ends are refused before it is expanded, or 1:HUGE counts
-    # towards 10**401 until memory runs out.
+    # A range's ends and count are refused before it is expanded, or 1:HUGE
+    # counts towards 10**401, and 1:10**12 towards 10**12, until memory runs
+    # out.
     @pytest.mark.parametrize("values", ["0.5:2", "a", "nan,inf",
-                                        f"{HUGE}:{HUGE}", f"1:{HUGE}"],
+                                        f"{HUGE}:{HUGE}", f"1:{HUGE}",
+                                        "1:1000000000000"],
                              ids=["float-range", "non-number", "non-finite",
-                                  "huge-range", "range-to-huge"])
+                                  "huge-range", "range-to-huge",
+                                  "range-past-the-cap"])
     def test_malformed_values_usage_error(self, tmp_path, capsys, values):
         out = tmp_path / "run"
         assert run_cli("sweep", "--out", str(out), "--values", values,
@@ -560,6 +631,23 @@ class TestSweepAndTune:
         assert err.startswith("error: ") and "Traceback" not in err
         assert values.split(",")[0] in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, crossing", [
+        ("1:5", None), ("1:6", "1:6"), ("1:3,4:6", "4:6"),
+        ("1,2,3,4,5,6", "6"), ("9:1,1:5", None)])
+    def test_values_past_the_cap_are_refused(self, tmp_path, capsys,
+                                             monkeypatch, values, crossing):
+        monkeypatch.setattr("pitchpilot.cli.MAX_SWEEP_VALUES", 5)
+        out = tmp_path / "run"
+        code = run_cli("sweep", "--out", str(out), "--values", values,
+                       "--duration", "0.05", *NO_DISTURBANCE)
+        if crossing is None:
+            assert code == EXIT_OK and (out / "sweep.csv").exists()
+        else:
+            assert code == EXIT_CONFIG and not out.exists()
+            assert capsys.readouterr().err == (
+                f"error: sweep value '{crossing}' takes the sweep past"
+                " 5 values\n")
 
     def test_swept_value_fails_as_set_does(self, tmp_path, capsys):
         assert run_cli("sweep", "--out", str(tmp_path), "--values", "7,nan",
@@ -655,6 +743,15 @@ RUN_LEAVES = [path for path in LEAVES if path not in SIZING_LEAVES]
 ODD_KEYS = ["loop", "loop.pid", "scenario.x", ""]
 number_texts = (st.sampled_from(["nan", "inf", "-inf", "1e400", "abc"])
                 | st.floats().map(repr) | st.integers().map(str))
+# `sweep --values` items: numbers, and ranges whose ends are small, far
+# enough apart to count past the cap, or past the float range, so that no
+# drawn sweep runs long.
+range_ends = (st.integers(-2, 3).map(str)
+              | st.sampled_from(["1000000000000", "-1000000000000", HUGE,
+                                 "-" + HUGE]))
+value_items = st.one_of(st.sampled_from(["0.5", "7"]),
+                        st.tuples(range_ends, range_ends).map(":".join),
+                        number_texts, st.sampled_from(["", "0.5:2", "1:2:3"]))
 
 
 @st.composite
@@ -683,7 +780,8 @@ def argvs(draw, trace):
             argv.append("--no-noise")
     if command == "sweep":
         param = draw(st.sampled_from(LOOP_LEAVES) | st.text(max_size=6))
-        argv += [f"--param={param}", "--values=0.5,7"]
+        values = ",".join(draw(st.lists(value_items, min_size=1, max_size=4)))
+        argv += [f"--param={param}", f"--values={values}"]
     if command == "tune":
         argv.append(f"--max-evals={draw(st.integers(-1, 3))}")
     # Last, so no --set can lengthen the run.
@@ -699,16 +797,22 @@ class TestExitCodeContract:
         return str(out / "trace.csv")
 
     @settings(derandomize=True, database=None, deadline=None,
-              max_examples=150)
+              max_examples=300)
     @given(data=st.data())
     def test_any_argv_exits_0_2_or_3(self, trace, data):
         argv = data.draw(argvs(trace))
-        with tempfile.TemporaryDirectory() as out:
+        with tempfile.TemporaryDirectory() as tmp:
             if argv[0] != "metrics":
-                argv[1:1] = ["--out", out]
+                argv[1:1] = ["--out", str(Path(tmp) / "new" / "run")]
+            err = io.StringIO()
             try:
-                code = main(argv)
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
             except SystemExit as exc:   # argparse usage errors
                 assert exc.code == EXIT_CONFIG
             else:
                 assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+                if code != EXIT_OK:
+                    assert err.getvalue().startswith("error: ")
+                    assert "Traceback" not in err.getvalue()
+                    assert list(Path(tmp).iterdir()) == []

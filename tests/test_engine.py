@@ -665,6 +665,14 @@ class TestTraceCsvReader:
             back = _read_back(_HEADER + body)
         assert np.array_equal(back.view(np.int64), expected.view(np.int64))
 
+    def test_json_clean_rows_of_another_width_never_reach_loadtxt(self):
+        # orjson reads the rows of 12; `Trace` alone refuses the width.
+        body = (",".join(["0.5"] * 12) + "\n").encode() * 5
+        with mock.patch.object(np, "loadtxt",
+                               side_effect=AssertionError("np.loadtxt")):
+            with pytest.raises(ConfigError, match=r"shape \(5, 12\)"):
+                _read_back(_HEADER + body)
+
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)
     @given(rows=st.lists(st.lists(st.floats() | st.sampled_from(_EDGES),
