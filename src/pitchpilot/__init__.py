@@ -13,8 +13,8 @@ from .engine import (LoopConfig, Scenario, Trace, run_ab_pair, run_scenario,
 from .errors import (ConfigError, DivergedError, DomainError, NoResponseError,
                      PitchPilotError, SingularConfigurationError,
                      UntunableStartError)
-from .metrics import (BandSpec, StepMetrics, band_for_step, devaud_report,
-                      noise_envelope, step_metrics)
+from .metrics import (BandSpec, StepMetrics, band_for_step, noise_envelope,
+                      step_metrics, step_report)
 from .tuner import CostSpec, SweepSpec, nelder_mead, sweep, tune_pid
 
 __version__ = "0.1.0"

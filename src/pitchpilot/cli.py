@@ -12,13 +12,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfgmod
 from .aero import sizing_report
 from .engine import Trace, run_ab_pair, run_scenario
 from .errors import (ConfigError, DivergedError, NoResponseError,
                      PitchPilotError, fixed)
-from .metrics import (BAND_FRACTION, band_for_step, devaud_report,
-                      noise_envelope, step_metrics)
+from .metrics import (BAND_FRACTION, band_for_step, noise_envelope,
+                      step_metrics, step_report)
 from .tuner import CostSpec, SweepSpec, sweep, tune_pid
 
 EXIT_OK = 0
@@ -124,19 +126,6 @@ def _write(out, base, outputs):
         shutil.rmtree(stage)
 
 
-def _metrics_text(m, label=""):
-    head = f"Step metrics {label}".rstrip() + "\n"
-    t_s = f"{fixed(m.t_s * 1000, '.1f')} ms" if m.t_s is not None else "never"
-    body = (
-        f"  rise time t_r      = {fixed(m.t_r * 1000, '.1f')} ms\n"
-        f"  peak time t_p      = {fixed(m.t_p * 1000, '.1f')} ms\n"
-        f"  settling time t_s  = {t_s}\n"
-        f"  peak overshoot M_p = {fixed(m.m_p, '.3f')} deg\n"
-        f"  percent overshoot  = {fixed(m.pct_overshoot, '.1f')} %\n"
-    )
-    return head + body + devaud_report(m) + "\n"
-
-
 # Each command returns (outputs, text): the files for `_write` and the exact
 # stdout.  `main` loads `cfg` and prints `text` once the files are written.
 
@@ -148,9 +137,9 @@ def cmd_simulate(args, cfg):
     trace = run_scenario(loop, scenario)
     try:
         m = step_metrics(trace, scenario.initial, scenario.command, band)
-        text = _metrics_text(m)
-    except NoResponseError:
-        text = "Step metrics\n  (trace never crossed the 10% threshold)\n"
+        text = step_report(m)
+    except NoResponseError as exc:
+        text = f"Step metrics\n  ({exc})\n"
     plot = PLOT_TEMPLATE.format(half_width=band.half_width)
     return ({"trace.csv": trace, "metrics.txt": text, "plot_trace.py": plot},
             f"{text}wrote {Path(args.out) / 'trace.csv'}\n")
@@ -167,8 +156,8 @@ def cmd_ab(args, cfg):
     def improvement(a, b):
         return fixed(100.0 * (a - b) / a if a else float("nan"), ".1f")
 
-    lines = [_metrics_text(m_a, "(A: no compensator)"),
-             _metrics_text(m_b, "(B: with compensator)"),
+    lines = [step_report(m_a, "(A: no compensator)"),
+             step_report(m_b, "(B: with compensator)"),
              "Improvement of B over A:",
              f"  rise time:     {improvement(m_a.t_r, m_b.t_r)} %"]
     if m_a.t_s is not None and m_b.t_s is not None:
@@ -250,11 +239,13 @@ def cmd_tune(args, cfg):
 
 def cmd_metrics(args, cfg):
     trace = Trace.from_csv(args.trace)
+    if not (np.isfinite(trace.t).all() and (trace.t[1:] > trace.t[:-1]).all()):
+        raise ConfigError(f"cannot measure trace {args.trace}: its t column"
+                          " is not finite and strictly increasing")
     start = float(args.start if args.start is not None else trace.omega[0])
     target = float(args.target if args.target is not None else trace.cmd[-1])
     band = band_for_step(start, target, args.band_fraction)
-    m = step_metrics(trace, start, target, band)
-    return {}, _metrics_text(m)
+    return {}, step_report(step_metrics(trace, start, target, band))
 
 
 def build_parser():

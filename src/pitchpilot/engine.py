@@ -99,9 +99,11 @@ class Trace:
 
     def __post_init__(self):
         rows = np.ascontiguousarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != len(TRACE_COLUMNS):
-            raise ValueError(f"trace table of shape {rows.shape}, not"
-                             f" (n, {len(TRACE_COLUMNS)})")
+        width = len(TRACE_COLUMNS)
+        if rows.ndim != 2 or rows.shape[1] != width or not len(rows):
+            raise ValueError(f"trace table of shape {rows.shape}, not (n,"
+                             f" {width}): a trace needs at least one row of"
+                             f" {width} values")
         object.__setattr__(self, "rows", rows)
 
     def __len__(self):
@@ -148,9 +150,8 @@ class Trace:
         body is read again as UTF-8 text with `np.loadtxt`, the one grammar
         for files the writer did not produce (`+1`, `1.`, `inf`, CRLF line
         ends, comments).  Either way, a file without rows or not 11 wide is
-        a ConfigError naming it (`Trace` checks the width); an empty body
-        fails before either parser runs, and a body of comments without
-        numpy's empty-input warning.
+        a ConfigError naming it, as `Trace` refuses such a table; a body of
+        comments is refused without numpy's empty-input warning.
         """
         try:
             with open(path, "rb") as fh:
@@ -163,12 +164,10 @@ class Trace:
                     fh.seek(body)
                     with (io.TextIOWrapper(fh, "utf-8") as text,
                           warnings.catch_warnings()):
-                        # A body of comments is the "no rows" error below.
+                        # `Trace` refuses a body of comments below.
                         warnings.filterwarnings(
                             "ignore", "loadtxt: input contained no data")
                         data = np.loadtxt(text, delimiter=",", ndmin=2)
-            if len(data) == 0:
-                raise ValueError("no rows")
             return cls(data)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read trace {path}: {exc}") from exc

@@ -17,13 +17,17 @@ from .errors import DomainError, NoResponseError, Params, Positive, fixed
 
 # Settling-band half-width as a fraction of the step magnitude.
 BAND_FRACTION = 0.05
+# The requirements: (1) rise time in s, (2) percent overshoot, (3) final
+# error as a fraction of the step magnitude.
+RISE_LIMIT = 0.350
+OVERSHOOT_LIMIT = 20.0
+ACCURACY_LIMIT = 0.05
 
 
 @dataclass(frozen=True)
 class BandSpec(Params):
-    """Settling band: target +/- half_width, both in degrees."""
+    """Settling band: the step's target +/- half_width, in degrees."""
 
-    target: float
     half_width: Positive
 
 
@@ -35,8 +39,8 @@ class StepMetrics:
     sample to the first crossing of the target, inf if it is never crossed.
     `t_s` is None when the response never settles.  `pct_overshoot` is
     normalized by |target|.
-    Verdicts: (1) t_r <= 350 ms, (2) %M_p <= 20%, (3) final error <= 5% of
-    the step magnitude.
+    Verdicts: (1) t_r <= RISE_LIMIT, (2) %M_p <= OVERSHOOT_LIMIT, (3) final
+    error <= ACCURACY_LIMIT of the step magnitude.
     """
 
     t_r: float
@@ -57,7 +61,7 @@ def band_for_step(start, target, fraction=BAND_FRACTION):
         raise DomainError("fraction must be > 0")
     if start == target:
         raise DomainError("degenerate step: start equals target")
-    return BandSpec(target=target, half_width=fraction * abs(start - target))
+    return BandSpec(half_width=fraction * abs(start - target))
 
 
 def _crossing_time(t, y, level):
@@ -94,7 +98,7 @@ class StepTracker:
         s = self.sign = 1.0 if span > 0 else -1.0
         start, self.target, self.span = s * start, s * target, s * span
         self.levels = (start + 0.1 * self.span, start + 0.9 * self.span)
-        self.band_target, self.half_width = s * band.target, band.half_width
+        self.half_width = band.half_width
         # For the rows so far, None until seen: the first crossing of 10 %,
         # the 10->90 % rise, the onset rise and the last row outside the
         # band; and the first largest excursion (or first NaN) and its row.
@@ -126,60 +130,62 @@ class StepTracker:
         if top > self.peak or math.isnan(top) and not math.isnan(self.peak):
             i = int(np.argmax(excursion))
             self.peak, self.i_peak = float(excursion[i]), k0 + i
-        distance = np.abs(rows - self.band_target)
+        distance = np.abs(excursion)
         if not distance.max() <= self.half_width:
             outside = np.nonzero(~(distance <= self.half_width))[0]
             self.last_out = k0 + int(outside[-1])
 
     def metrics(self, t, y) -> StepMetrics:
         self.update(t, y, len(y))
-        t_r = float("inf") if self.t_r is None else self.t_r
-        t_r_onset = float("inf") if self.t_r_onset is None else self.t_r_onset
+        t_r, t_r_onset = (math.inf if v is None else float(v)
+                          for v in (self.t_r, self.t_r_onset))
         m_p = max(float(self.peak), 0.0)
         j, t_s = self.last_out, None
         if j is None:
             t_s = float(t[0])
         elif j + 1 < len(y):
             ys = self.sign * y[j:j + 2]
-            edge = (self.band_target
-                    + self.half_width * np.sign(ys[0] - self.band_target))
+            edge = self.target + self.half_width * np.sign(ys[0] - self.target)
             t_s = float(_interpolate(t[j:j + 2], ys, 0, edge))
         pct = 100.0 * m_p / abs(self.target) if self.target else float("nan")
         final_error = abs(self.sign * float(y[-1]) - self.target)
         return StepMetrics(
-            t_r=float(t_r),
-            t_r_onset=float(t_r_onset),
+            t_r=t_r,
+            t_r_onset=t_r_onset,
             t_p=float(t[self.i_peak]),
             t_s=t_s,
             m_p=m_p,
             pct_overshoot=pct,
             final_error=final_error,
-            req_rise=t_r <= 0.350,
-            req_overshoot=pct <= 20.0,
-            req_accuracy=final_error <= 0.05 * self.span,
+            req_rise=t_r <= RISE_LIMIT,
+            req_overshoot=pct <= OVERSHOOT_LIMIT,
+            req_accuracy=final_error <= ACCURACY_LIMIT * self.span,
         )
 
 
 def step_metrics(trace, start, target, band: BandSpec) -> StepMetrics:
     """Measure a start->target step response on the true pitch signal."""
-    if len(trace) == 0:
-        raise DomainError("empty trace")
     return StepTracker(start, target, band).metrics(trace.t, trace.omega)
 
 
-def devaud_report(metrics: StepMetrics) -> str:
-    """Three-line pass/fail rendering of the requirement verdicts."""
-    def line(num, text, ok):
-        return f"({num}) {text}: {'pass' if ok else 'fail'}"
-    return "\n".join([
-        line(1, f"rise time {fixed(metrics.t_r * 1000, '.0f')} ms <= 350 ms",
-             metrics.req_rise),
-        line(2, f"overshoot {fixed(metrics.pct_overshoot, '.0f')}% <= 20%",
-             metrics.req_overshoot),
-        line(3, f"steady-state error {fixed(metrics.final_error, '.3f')} deg"
-                " <= 5% of step",
-             metrics.req_accuracy),
-    ])
+def step_report(m: StepMetrics, label="") -> str:
+    """The metrics block: the measurements, then the three verdicts."""
+    def verdict(num, text, ok):
+        return f"({num}) {text}: {'pass' if ok else 'fail'}\n"
+    t_s = f"{fixed(m.t_s * 1000, '.1f')} ms" if m.t_s is not None else "never"
+    return (
+        f"Step metrics {label}".rstrip() + "\n"
+        f"  rise time t_r      = {fixed(m.t_r * 1000, '.1f')} ms\n"
+        f"  peak time t_p      = {fixed(m.t_p * 1000, '.1f')} ms\n"
+        f"  settling time t_s  = {t_s}\n"
+        f"  peak overshoot M_p = {fixed(m.m_p, '.3f')} deg\n"
+        f"  percent overshoot  = {fixed(m.pct_overshoot, '.1f')} %\n"
+        + verdict(1, f"rise time {fixed(m.t_r * 1000, '.0f')} ms"
+                     f" <= {RISE_LIMIT * 1000:.0f} ms", m.req_rise)
+        + verdict(2, f"overshoot {fixed(m.pct_overshoot, '.0f')}%"
+                     f" <= {OVERSHOOT_LIMIT:.0f}%", m.req_overshoot)
+        + verdict(3, f"steady-state error {fixed(m.final_error, '.3f')} deg"
+                     f" <= {ACCURACY_LIMIT:.0%} of step", m.req_accuracy))
 
 
 def noise_envelope(trace, window_start):

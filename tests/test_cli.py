@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -51,6 +52,14 @@ class TestSimulate:
         assert (out / "plot_trace.py").exists()
         rows = (out / "trace.csv").read_text().splitlines()
         assert len(rows) == 52   # header + duration/dt + 1 samples
+
+    def test_no_response_writes_a_note(self, tmp_path, capsys):
+        # Within 50 ms the 100 ms actuator delay keeps the pitch at its start.
+        assert run_cli("simulate", "--out", str(tmp_path), "--duration",
+                       "0.05", *QUIET) == EXIT_OK
+        note = "Step metrics\n  (trace never crossed the 10% threshold)\n"
+        assert (tmp_path / "metrics.txt").read_text() == note
+        assert capsys.readouterr().out.startswith(note)
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("one", "two"):
@@ -688,6 +697,25 @@ class TestMetricsCommand:
         assert "rise time" in out
         assert "pass" in out
 
+    @pytest.mark.parametrize("t", [[1.0, 0.0], [0.0, 0.0], [0.0, math.nan],
+                                   [0.0, math.inf]],
+                             ids=["decreasing", "repeated", "nan", "inf"])
+    def test_time_not_strictly_increasing_exit_code(self, tmp_path, capsys,
+                                                    t):
+        # A full step, 10 -> 1 deg, at times the step cannot be measured on.
+        rows = np.zeros((2, len(TRACE_COLUMNS)))
+        rows[:, TRACE_COLUMNS.index("t")] = t
+        rows[:, TRACE_COLUMNS.index("omega")] = [10.0, 1.0]
+        rows[:, TRACE_COLUMNS.index("cmd")] = 1.0
+        path = tmp_path / "trace.csv"
+        Trace(rows).to_csv(path)
+        assert run_cli("metrics", "--trace", str(path)) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(path) in err
+        assert "strictly increasing" in err
+
     @pytest.mark.parametrize("case", ["missing", "directory", "ragged",
                                       "non-numeric", "header-only",
                                       "comment-only", "wrong-header",
@@ -752,6 +780,44 @@ range_ends = (st.integers(-2, 3).map(str)
 value_items = st.one_of(st.sampled_from(["0.5", "7"]),
                         st.tuples(range_ends, range_ends).map(":".join),
                         number_texts, st.sampled_from(["", "0.5:2", "1:2:3"]))
+# `--duration` and `--dt`: a run of at most STEP_BUDGET steps (or shorter
+# than one step), or a pair with one value the scenario refuses before it
+# runs.
+STEP_BUDGET = 100
+dts = st.sampled_from([0.001, 0.005]) | st.floats(1e-4, 0.005)
+bad_lengths = st.sampled_from(["0", "-0.001", "nan", "inf", "1e400", "abc"])
+run_lengths = st.one_of(
+    st.tuples(st.integers(1, STEP_BUDGET) | st.floats(0.5, STEP_BUDGET), dts)
+    .map(lambda pair: (repr(pair[0] * pair[1]), repr(pair[1]))),
+    st.tuples(bad_lengths, dts.map(repr)),
+    st.tuples(st.just("0.05"), bad_lengths | st.just("0.006")),
+).map(lambda pair: ["--duration", pair[0], "--dt", pair[1]])
+json_values = st.recursive(
+    json_scalars, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def config_documents(draw):
+    """A `--config` document: any JSON value, or the default document's
+    sections holding up to three leaves, each of its default value or of
+    any JSON value."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc, defaults = {}, default_config()
+    for path in draw(st.lists(st.sampled_from(LEAVES), max_size=3)):
+        *sections, leaf = path.split(".")
+        node, default = doc, defaults
+        for key in sections:
+            node, default = node.setdefault(key, {}), default[key]
+        node[leaf] = draw(st.just(default[leaf]) | json_values)
+    return doc
+
+
+def _tree(root):
+    """Each path below `root` with its bytes, None for a directory."""
+    return {path.relative_to(root): None if path.is_dir()
+            else path.read_bytes() for path in root.rglob("*")}
 
 
 @st.composite
@@ -784,8 +850,8 @@ def argvs(draw, trace):
         argv += [f"--param={param}", f"--values={values}"]
     if command == "tune":
         argv.append(f"--max-evals={draw(st.integers(-1, 3))}")
-    # Last, so no --set can lengthen the run.
-    return argv + ["--duration", "0.05", "--dt", "0.001"]
+    # Last, so no --set or --config can lengthen the run.
+    return argv + draw(run_lengths)
 
 
 class TestExitCodeContract:
@@ -797,22 +863,40 @@ class TestExitCodeContract:
         return str(out / "trace.csv")
 
     @settings(derandomize=True, database=None, deadline=None,
-              max_examples=300)
+              max_examples=450)
     @given(data=st.data())
     def test_any_argv_exits_0_2_or_3(self, trace, data):
         argv = data.draw(argvs(trace))
         with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
             if argv[0] != "metrics":
-                argv[1:1] = ["--out", str(Path(tmp) / "new" / "run")]
+                # A new --out, one that holds a file, a file, or below one.
+                (tmp / "old").mkdir()
+                (tmp / "old" / "kept.txt").write_text("kept")
+                (tmp / "file").write_text("a file")
+                out = data.draw(st.sampled_from(["new/run", "old", "file",
+                                                 "file/run"]))
+                argv[1:1] = ["--out", str(tmp / out)]
+                if data.draw(st.booleans()):
+                    config = tmp / "config.json"
+                    config.write_text(json.dumps(data.draw(
+                        config_documents())))
+                    argv[1:1] = ["--config", str(config)]
+            before = _tree(tmp)
             err = io.StringIO()
             try:
                 with contextlib.redirect_stderr(err):
                     code = main(argv)
             except SystemExit as exc:   # argparse usage errors
                 assert exc.code == EXIT_CONFIG
+                code = exc.code
             else:
                 assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
                 if code != EXIT_OK:
                     assert err.getvalue().startswith("error: ")
                     assert "Traceback" not in err.getvalue()
-                    assert list(Path(tmp).iterdir()) == []
+            if code != EXIT_OK:
+                assert _tree(tmp) == before
+            assert not list(tmp.rglob(".pitchpilot-*"))   # no stage left
+            if argv[0] != "metrics":
+                assert (tmp / "old" / "kept.txt").read_text() == "kept"

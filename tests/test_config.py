@@ -27,7 +27,7 @@ def _nested(params):
 PARAMETER_SETS = {type(p): p for root in (
     SweepSpec("actuator.gain", (7.0,)), CostSpec(), MissileConfig(),
     AeroDerivatives(), TailSizingInputs(),
-    BandSpec(target=1.0, half_width=0.45))
+    BandSpec(half_width=0.45))
     for p in _nested(root)}
 # Annotation -> values a field so annotated rejects.
 VIOLATIONS = {Positive: (0, -1), NonNegative: (-1,), Nonzero: (0,),

@@ -505,6 +505,10 @@ class TestTraceCsvWriter:
            block=st.integers(1, 8))
     def test_each_line_is_the_repr_of_its_row(self, rows, block):
         columns = np.array(rows, dtype=float).reshape(-1, 11).T
+        if not rows:   # `Trace` refuses a table without rows
+            with pytest.raises(ValueError, match="at least one row"):
+                _written(columns)
+            return
         with mock.patch.object(engine, "_CSV_BLOCK", block):
             assert _written(columns) == _repr_csv(columns)
 
@@ -517,6 +521,10 @@ class TestTraceCsvWriter:
                                                                   (n, 11))
         rows.flat[::97] = np.resize(_EDGES, rows.flat[::97].size)
         columns = rows.T
+        if n == 0:   # `Trace` refuses a table without rows
+            with pytest.raises(ValueError, match="at least one row"):
+                _written(columns)
+            return
         assert _written(columns) == _repr_csv(columns)
 
     @pytest.mark.parametrize("kinds", [(np.int64,) * 11, (np.float32,) * 11,

@@ -9,8 +9,8 @@ from scipy.signal import lti
 from pitchpilot.engine import TRACE_COLUMNS, Trace
 from pitchpilot.errors import DomainError, NoResponseError
 from pitchpilot.metrics import (BandSpec, StepMetrics, StepTracker,
-                                band_for_step, devaud_report, noise_envelope,
-                                step_metrics)
+                                band_for_step, noise_envelope, step_metrics,
+                                step_report)
 
 
 def make_trace(t, omega, cmd=None, error=None):
@@ -25,7 +25,6 @@ class TestBandForStep:
     def test_published_band(self):
         band = band_for_step(10, 1, 0.05)
         assert band.half_width == 0.45
-        assert band.target == 1
 
     def test_unit_step(self):
         assert band_for_step(1, 0, 0.05).half_width == pytest.approx(0.05)
@@ -57,7 +56,7 @@ class TestStepMetrics:
         system = lti([wn ** 2], [1, 2 * mu * wn, wn ** 2])
         t = np.arange(0, 0.5, 1e-5)
         t, y = system.step(T=t)
-        m = step_metrics(make_trace(t, y), 0, 1, BandSpec(1.0, 0.05))
+        m = step_metrics(make_trace(t, y), 0, 1, BandSpec(0.05))
         assert m.pct_overshoot == pytest.approx(16.30, abs=0.05)
         assert m.t_p == pytest.approx(0.07255, abs=2e-4)
         # Onset rise (0 -> 100%): (pi - arccos mu) / wd.
@@ -100,7 +99,7 @@ class TestStepMetrics:
         t = np.arange(0, 6.0, 0.01)
         y = 1.0 + 2.0 * np.exp(-t) * np.cos(4 * t)
         trace = make_trace(t, y)
-        band = BandSpec(1.0, 0.45)
+        band = BandSpec(0.45)
         m = step_metrics(trace, 3.0, 1.0, band)
         inside = np.abs(y - 1.0) <= 0.45
         last_outside = np.nonzero(~inside)[0][-1]
@@ -127,13 +126,15 @@ class TestStepMetrics:
             step_metrics(trace, 10, 1, band_for_step(10, 1, 0.05))
 
     def test_empty_trace(self):
-        trace = Trace(np.empty((0, len(TRACE_COLUMNS))))
-        with pytest.raises(DomainError, match="empty trace"):
-            step_metrics(trace, 10, 1, band_for_step(10, 1, 0.05))
+        # `Trace` refuses a table without rows, so none reaches the metrics.
+        with pytest.raises(ValueError, match=r"shape \(0, 11\).*at least"
+                                             " one row of 11 values"):
+            Trace(np.empty((0, len(TRACE_COLUMNS))))
 
 
-# The vectorised `step_metrics` that `StepTracker` replaced, kept verbatim
-# as the reference: a rising and a falling branch over the whole trace.
+# The vectorised `step_metrics` that `StepTracker` replaced, kept as the
+# reference: a rising and a falling branch over the whole trace, with the
+# band centred on the step's target.
 def _crossing_time(t, y, level, rising):
     """First time y crosses `level` (interpolated); t[0] if already past."""
     past = y >= level if rising else y <= level
@@ -155,8 +156,6 @@ def _interpolate(t, y, i, level):
 def reference_step_metrics(trace, start, target,
                            band: BandSpec) -> StepMetrics:
     """Measure a start->target step response on the true pitch signal."""
-    if len(trace) == 0:
-        raise DomainError("empty trace")
     if start == target:
         raise DomainError("degenerate step: start equals target")
     t = np.asarray(trace.t, dtype=float)
@@ -179,7 +178,7 @@ def reference_step_metrics(trace, start, target,
     m_p = max(float(excursion[i_peak]), 0.0)
     t_p = float(t[i_peak])
 
-    inside = np.abs(y - band.target) <= band.half_width
+    inside = np.abs(y - target) <= band.half_width
     outside = np.nonzero(~inside)[0]
     if len(outside) == 0:
         t_s = float(t[0])
@@ -187,7 +186,7 @@ def reference_step_metrics(trace, start, target,
         t_s = None
     else:
         j = outside[-1]
-        edge = band.target + band.half_width * np.sign(y[j] - band.target)
+        edge = target + band.half_width * np.sign(y[j] - target)
         t_s = float(_interpolate(t, y, j, edge))
 
     pct = 100.0 * m_p / abs(target) if target != 0 else float("nan")
@@ -221,9 +220,9 @@ def step_traces(draw):
     target = draw(ends.filter(lambda x: x != start))
     span = target - start
     half_width = draw(st.floats(1e-3, 1e3) | finite.map(abs).filter(bool))
-    band = BandSpec(draw(st.just(target) | ends), half_width)
+    band = BandSpec(half_width)
     marks = [start, start + 0.1 * span, start + 0.9 * span, target,
-             band.target - half_width, band.target + half_width]
+             target - half_width, target + half_width]
     value = (st.sampled_from(marks) | st.floats(-0.5, 1.5).map(
         lambda u: start + u * span) | finite | non_finite)
     omega = []
@@ -260,19 +259,19 @@ class TestStepTracker:
     # t10 = t90 = t[0] = inf: the rise (inf - inf) warns before the onset's
     # interpolation (inf + -inf) would.
     @example(step=(np.array([math.inf, 0.01]), np.array([0.95, 1.2]), 0.0,
-                   1.0, BandSpec(1.0, 0.05)))
+                   1.0, BandSpec(0.05)))
     # No response, so no excursion is taken, whose -1e308 - 1e308 would
     # overflow.
     @example(step=(np.array([0.0, 0.01]), np.array([-1e308, 0.0]), 0.0,
-                   1e308, BandSpec(1e308, 1.0)))
+                   1e308, BandSpec(1.0)))
     # A NaN pitch is the peak: M_p is NaN at the first NaN row, rising and
     # falling.
     @example(step=(np.arange(6) * 0.1, np.array([0, 0.5, math.nan, 1.2,
                                                   math.nan, 1]), 0.0, 1.0,
-                   BandSpec(1.0, 0.05)))
+                   BandSpec(0.05)))
     @example(step=(np.arange(6) * 0.1, -np.array([0, 0.5, math.nan, 1.2,
                                                    math.nan, 1]), 0.0, -1.0,
-                   BandSpec(-1.0, 0.05)))
+                   BandSpec(0.05)))
     def test_same_as_the_vectorised_reference(self, step):
         t, omega, start, target, band = step
         trace = make_trace(t, omega)
@@ -306,10 +305,12 @@ class TestStepTracker:
 
     def test_degenerate_step_rejected(self):
         with pytest.raises(DomainError, match="degenerate step"):
-            StepTracker(10.0, 10.0, BandSpec(10.0, 0.5))
+            StepTracker(10.0, 10.0, BandSpec(0.5))
 
 
 class TestDevaudReport:
+    """The verdict lines, the last three of `step_report`'s block."""
+
     def make(self, t_r, pct, final):
         return StepMetrics(t_r=t_r, t_r_onset=2 * t_r, t_p=t_r + 0.1,
                            t_s=1.0, m_p=pct / 100, pct_overshoot=pct,
@@ -317,21 +318,66 @@ class TestDevaudReport:
                            req_overshoot=pct <= 20.0,
                            req_accuracy=final <= 0.45)
 
+    def verdicts(self, m):
+        return step_report(m).splitlines()[-3:]
+
     def test_system_b_pattern(self):
-        report = devaud_report(self.make(0.28, 370.0, 0.01))
-        lines = report.splitlines()
-        assert len(lines) == 3
+        lines = self.verdicts(self.make(0.28, 370.0, 0.01))
+        assert [line[:3] for line in lines] == ["(1)", "(2)", "(3)"]
         assert lines[0].endswith("pass")
         assert lines[1].endswith("fail")
         assert lines[2].endswith("pass")
 
     def test_marginal_rise_fails(self):
-        report = devaud_report(self.make(0.355, 790.0, 0.01))
-        assert report.splitlines()[0].endswith("fail")
+        assert self.verdicts(self.make(0.355, 790.0, 0.01))[0].endswith(
+            "fail")
 
     def test_perfect_response(self):
-        report = devaud_report(self.make(0.0, 0.0, 0.0))
-        assert all(line.endswith("pass") for line in report.splitlines())
+        assert all(line.endswith("pass")
+                   for line in self.verdicts(self.make(0.0, 0.0, 0.0)))
+
+
+class TestRequirementLimits:
+    """Each limit passes when met exactly and fails one float above it."""
+
+    def test_rise_time_of_350_ms(self):
+        # t10 is the first sample and t90 the second, so t_r is t[1].
+        for t1, verdict in ((0.35, True),
+                            (math.nextafter(0.35, math.inf), False)):
+            m = step_metrics(make_trace([0.0, t1], [0.1, 0.9]), 0.0, 1.0,
+                             BandSpec(0.05))
+            assert m.t_r == t1
+            assert m.req_rise is verdict
+
+    def test_overshoot_of_20_percent(self):
+        # 100 * (6 - 5) / 5 is 20 exactly; 100 * (3.6 - 3) / 3 rounds to
+        # the next float above 20.
+        for target, peak, pct, verdict in (
+                (5.0, 6.0, 20.0, True),
+                (3.0, 3.6, math.nextafter(20.0, math.inf), False)):
+            m = step_metrics(make_trace([0.0, 0.1, 0.2], [0.0, peak, target]),
+                             0.0, target, BandSpec(0.05))
+            assert m.pct_overshoot == pct
+            assert m.req_overshoot is verdict
+
+    def test_final_error_of_5_percent_of_the_step(self):
+        # A unit step from -1 to 0 whose final error is the last pitch.
+        for error, verdict in ((0.05, True),
+                               (math.nextafter(0.05, math.inf), False)):
+            m = step_metrics(make_trace([0.0, 0.1], [-1.0, -error]), -1.0,
+                             0.0, BandSpec(0.05))
+            assert m.final_error == error
+            assert m.req_accuracy is verdict
+
+    def test_printed_limits(self):
+        # Rise 350 ms, overshoot 20 %, final error 0.1 of a unit step.
+        m = step_metrics(make_trace([0.0, 0.35, 0.4, 0.5],
+                                    [0.1, 0.9, 1.2, 1.1]), 0.0, 1.0,
+                         BandSpec(0.05))
+        assert step_report(m).splitlines()[-3:] == [
+            "(1) rise time 350 ms <= 350 ms: pass",
+            "(2) overshoot 20% <= 20%: pass",
+            "(3) steady-state error 0.100 deg <= 5% of step: fail"]
 
 
 class TestNoiseEnvelope:
