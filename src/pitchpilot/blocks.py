@@ -11,9 +11,8 @@ holds no state and draws a whole run's noise in one call.
 The Kalman filter's covariance reaches no measurement or control, so its
 recursion runs once, in the constructor of an immutable `GainSchedule`,
 and a filter's step only updates its state from the gains it is given.
-`engine._plan` holds one schedule per configuration; the module's one
-cache keeps the last two zero-order holds, so that runs of one servo
-compute its hold once.
+`engine._plan` holds one schedule per configuration; the blocks keep no
+cache, so each `Actuator` computes its servo's hold afresh.
 
 Step methods do not check their inputs: a non-finite value runs through the
 recursion like any other, and `engine.run_scenario`, which checks every
@@ -26,7 +25,6 @@ numpy scalar would send each step's arithmetic through numpy's scalar
 machinery, about twice as slow as Python's float path.
 """
 
-import functools
 import math
 import operator
 from array import array
@@ -214,13 +212,18 @@ def _expm(M):
             for i, row in enumerate(E)]
 
 
-@functools.lru_cache(maxsize=2)
-def _hold(A, B, dt):
-    """(Ad, Bd) as lists, or None unless the hold is finite; see `_zoh`.
-    The last two holds are kept, a run's servo hold and its plan's plant
-    hold, so that a tuner or delay probe that builds the same servo run
-    after run computes it once."""
-    n = len(B)
+def _zoh(A, B, dt, *params):
+    """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u, from
+    one matrix exponential of [[A, B], [0, 0]]·dt (Van Loan 1978), computed
+    in Python floats, so its bits depend on no BLAS.  A (rows of floats) and
+    B (floats) give fresh lists Ad and Bd.  A hold that is not finite, or
+    whose matrix holds an entry of 2**53 or more, is a ConfigError naming
+    `params`, the sets A and B came from."""
+    if not dt > 0:
+        raise ConfigError("dt must be > 0")
+    refused = ConfigError(f"no finite zero-order hold of"
+                          f" {', '.join(map(repr, params))} at dt={dt}")
+    dt, n = float(dt), len(B)
     # exp scales by the norm of the whole matrix, so a B far from A would
     # cost Ad its accuracy: hold B at A's scale by an exact power of two and
     # scale Bd, which is linear in B, back.
@@ -233,32 +236,15 @@ def _hold(A, B, dt):
         # of M·dt alone may move an entry, such as a phase advance per
         # step, by a whole unit: no float hold is then the hold.
         if not all(abs(x) < 2.0 ** 53 for row in M for x in row):
-            return None
+            raise refused
         E = _expm(M + [[0.0] * (n + 1)])
         Ad = [row[:n] for row in E[:n]]
         Bd = [math.ldexp(row[n], shift) for row in E[:n]]
     except OverflowError:   # a power of two past the float range
-        return None
+        raise refused from None
     if not all(math.isfinite(x) for row in Ad + [Bd] for x in row):
-        return None
+        raise refused
     return Ad, Bd
-
-
-def _zoh(A, B, dt, *params):
-    """Exact zero-order-hold discretization (Ad, Bd) of x' = A·x + B·u, from
-    one matrix exponential of [[A, B], [0, 0]]·dt (Van Loan 1978), computed
-    in Python floats, so its bits depend on no BLAS.  A (a tuple of row
-    tuples) and B (a tuple), both of floats, key `_hold`'s cache as given;
-    Ad's rows and Bd are that cache's own lists, not to be modified.  A
-    hold that is not finite, or whose matrix holds an entry of 2**53 or
-    more, is a ConfigError naming `params`, the sets A and B came from."""
-    if not dt > 0:
-        raise ConfigError("dt must be > 0")
-    hold = _hold(A, B, float(dt))
-    if hold is None:
-        raise ConfigError(f"no finite zero-order hold of"
-                          f" {', '.join(map(repr, params))} at dt={dt}")
-    return hold
 
 
 def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
@@ -413,6 +399,8 @@ class GainSchedule:
     """
 
     def __init__(self, params: KalmanParams, rows, dt, count):
+        if not dt > 0:
+            raise ConfigError("dt must be > 0")
         (f01, g0, _, _), (f11, g1, _, _) = rows
         self.f01, self.f11, self.g0, self.g1 = f01, f11, g0, g1
         q00, q11, r = params.q_omega * dt, params.q_rate * dt, params.r

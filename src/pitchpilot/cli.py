@@ -17,8 +17,8 @@ import numpy as np
 from . import config as cfgmod
 from .aero import sizing_report
 from .engine import Trace, run_ab_pair, run_scenario
-from .errors import (ConfigError, DivergedError, NoResponseError,
-                     PitchPilotError, fixed)
+from .errors import (ConfigError, DivergedError, DomainError,
+                     NoResponseError, PitchPilotError, fixed)
 from .metrics import (BAND_FRACTION, band_for_step, noise_envelope,
                       step_metrics, step_report)
 from .tuner import CostSpec, SweepSpec, sweep, tune_pid
@@ -244,7 +244,12 @@ def cmd_metrics(args, cfg):
                           " is not finite and strictly increasing")
     start = float(args.start if args.start is not None else trace.omega[0])
     target = float(args.target if args.target is not None else trace.cmd[-1])
-    band = band_for_step(start, target, args.band_fraction)
+    try:
+        band = band_for_step(start, target, args.band_fraction)
+    except DomainError as exc:
+        raise ConfigError(f"cannot measure trace {args.trace} with --start"
+                          f" {start} --target {target} --band-fraction"
+                          f" {args.band_fraction}: {exc}") from exc
     return {}, step_report(step_metrics(trace, start, target, band))
 
 

@@ -57,8 +57,6 @@ class StepMetrics:
 
 def band_for_step(start, target, fraction=BAND_FRACTION):
     """Band of half-width fraction·|start - target| around the target."""
-    if not fraction > 0:
-        raise DomainError("fraction must be > 0")
     if start == target:
         raise DomainError("degenerate step: start equals target")
     return BandSpec(half_width=fraction * abs(start - target))

@@ -16,8 +16,11 @@ from pitchpilot.errors import ConfigError, DomainError
 @pytest.mark.parametrize("build", [
     lambda dt: Pid(PidGains(), dt),
     lambda dt: Lead(CompensatorParams(), dt),
-    lambda dt: _zoh(((0.0,),), (1.0,), dt)], ids=["Pid", "Lead", "_zoh"])
-@pytest.mark.parametrize("dt", [0.0, -0.001])
+    lambda dt: _zoh(((0.0,),), (1.0,), dt),
+    lambda dt: GainSchedule(KalmanParams(), plant_step(
+        PitchPlantParams(), DisturbanceParams(), 0.001), dt, 1000)],
+    ids=["Pid", "Lead", "_zoh", "GainSchedule"])
+@pytest.mark.parametrize("dt", [0.0, -0.001, math.nan])
 def test_nonpositive_dt_rejected(build, dt):
     with pytest.raises(ConfigError, match="dt must be > 0"):
         build(dt)
@@ -239,6 +242,14 @@ class TestZoh:
         assert Ad[0][1] == pytest.approx(f01, abs=1e-15)
         assert Bd[1] == pytest.approx((1.0 - decay) / lam, abs=1e-15)
         assert Bd[0] == pytest.approx((dt - f01) / lam, abs=1e-15)
+
+    def test_each_hold_is_fresh(self):
+        # No hold is kept between calls: a caller may modify what it gets.
+        A, B = ((0.0, 1.0), (-2500.0, -50.0)), (0.0, 17500.0)
+        Ad, Bd = _zoh(A, B, 0.001)
+        expected = ([row[:] for row in Ad], Bd[:])
+        Ad[0][0] = Bd[1] = -1.0
+        assert _zoh(A, B, 0.001) == expected
 
     @pytest.mark.parametrize("wn", [5.0, 50.0, 500.0])
     @pytest.mark.parametrize("gain", [1.0, 7.0, 1e3, 1e6])

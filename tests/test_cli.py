@@ -716,6 +716,26 @@ class TestMetricsCommand:
         assert str(path) in err
         assert "strictly increasing" in err
 
+    # The trace runs from 10 to 1 deg; each refusal names the values used.
+    @pytest.mark.parametrize("argv, named", [
+        (["--band-fraction", "1e308"], "--band-fraction 1e+308"),
+        (["--start", "inf"], "--start inf"),
+        (["--target", "nan"], "--target nan"),
+        (["--band-fraction", "0"], "--band-fraction 0.0"),
+        (["--start", "1", "--target", "1"], "--start 1.0 --target 1.0")],
+        ids=["huge-fraction", "infinite-start", "nan-target", "zero-fraction",
+             "degenerate-step"])
+    def test_unmeasurable_step_names_its_options(self, tmp_path, capsys,
+                                                 argv, named):
+        run_cli("simulate", "--out", str(tmp_path), "--duration", "1")
+        capsys.readouterr()
+        path = tmp_path / "trace.csv"
+        assert run_cli("metrics", "--trace", str(path), *argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot measure trace {path} with ")
+        assert named in err
+
     @pytest.mark.parametrize("case", ["missing", "directory", "ragged",
                                       "non-numeric", "header-only",
                                       "comment-only", "wrong-header",

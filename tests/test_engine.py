@@ -140,15 +140,13 @@ class TestRunScenario:
                                            [0.05, 0.1, 0.15, 0.2, 0.25]),
         lambda config, sc: tune_pid(config, sc, CostSpec(), max_evals=8),
         run_ab_pair], ids=["probe", "tune", "ab"])
-    def test_runs_of_one_servo_compute_each_hold_once(self, quiet_config,
-                                                      workflow):
-        # The delay, the lead and the PID gains reach neither hold, so a
-        # workflow's runs miss `_hold`'s cache once for the servo and once
-        # for the plant.
-        blocks._hold.cache_clear()
+    def test_runs_of_one_workflow_share_one_plan(self, quiet_config,
+                                                 workflow):
+        # The delay, the lead and the PID gains are not in the plan's key,
+        # so a workflow's runs compute the plant hold once, in one plan.
         engine._plan.cache_clear()
         workflow(quiet_config, Scenario(duration=2.0))
-        assert blocks._hold.cache_info().misses == 2
+        assert engine._plan.cache_info().misses == 1
 
     def test_diverged_run_carries_step_index(self, quiet_config):
         cfg = replace(quiet_config, pid=PidGains(k_p=1e9, k_i=0, k_d=1e9))
