@@ -19,8 +19,8 @@ recursion like any other, and `engine.run_scenario`, which checks every
 signal it records, decides where a run diverged.
 
 Every coefficient a block reads per step is a Python float, because
-`errors.Params` stores real fields as floats, `engine.run_scenario` passes
-the float `Scenario.dt` and the holds are floats in tuples and lists: a
+`errors.Params` stores real fields as floats, each block takes its step size
+as `float(dt)` and the holds are floats in tuples and lists: a
 numpy scalar would send each step's arithmetic through numpy's scalar
 machinery, about twice as slow as Python's float path.
 """
@@ -219,11 +219,9 @@ def _zoh(A, B, dt, *params):
     B (floats) give fresh lists Ad and Bd.  A hold that is not finite, or
     whose matrix holds an entry of 2**53 or more, is a ConfigError naming
     `params`, the sets A and B came from."""
-    if not dt > 0:
-        raise ConfigError("dt must be > 0")
+    dt, n = _step_size(dt), len(B)
     refused = ConfigError(f"no finite zero-order hold of"
                           f" {', '.join(map(repr, params))} at dt={dt}")
-    dt, n = float(dt), len(B)
     # exp scales by the norm of the whole matrix, so a B far from A would
     # cost Ad its accuracy: hold B at A's scale by an exact power of two and
     # scale Bd, which is linear in B, back.
@@ -261,11 +259,17 @@ def plant_step(plant: PitchPlantParams, disturbance: DisturbanceParams, dt):
     return [[row[1], u, row[2], row[3]] for row, u in zip(Ad, Bd[:2])]
 
 
-def _steps(value, dt, what):
-    """value/dt as an int; ConfigError unless it is a whole number of steps."""
+def _step_size(dt):
+    """dt as a float, the type every coefficient derived from it must have;
+    ConfigError unless dt > 0."""
     if not dt > 0:
         raise ConfigError("dt must be > 0")
-    ratio = value / dt
+    return float(dt)
+
+
+def _steps(value, dt, what):
+    """value/dt as an int; ConfigError unless it is a whole number of steps."""
+    ratio = value / _step_size(dt)
     n = round(ratio) if math.isfinite(ratio) else 0
     # A positive value must span at least one step; a step count past the
     # float range is taken as none.
@@ -285,10 +289,8 @@ class Pid:
     """
 
     def __init__(self, gains: PidGains, dt):
-        if not dt > 0:
-            raise ConfigError("dt must be > 0")
         self.k_p, self.k_i, self.k_d = gains.k_p, gains.k_i, gains.k_d
-        self.dt = dt
+        self.dt = dt = _step_size(dt)
         self.alpha = dt / (gains.tau_f + dt)
         self.integral = 0.0
         self.d_filt = 0.0
@@ -317,8 +319,7 @@ class Lead:
     """
 
     def __init__(self, params: CompensatorParams, dt):
-        if not dt > 0:
-            raise ConfigError("dt must be > 0")
+        dt = _step_size(dt)
         if dt > params.T / 2:
             raise ConfigError(
                 f"dt={dt} too coarse for lead time constant T={params.T}"
@@ -399,8 +400,7 @@ class GainSchedule:
     """
 
     def __init__(self, params: KalmanParams, rows, dt, count):
-        if not dt > 0:
-            raise ConfigError("dt must be > 0")
+        dt = _step_size(dt)
         (f01, g0, _, _), (f11, g1, _, _) = rows
         self.f01, self.f11, self.g0, self.g1 = f01, f11, g0, g1
         q00, q11, r = params.q_omega * dt, params.q_rate * dt, params.r

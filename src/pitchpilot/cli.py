@@ -246,11 +246,11 @@ def cmd_metrics(args, cfg):
     target = float(args.target if args.target is not None else trace.cmd[-1])
     try:
         band = band_for_step(start, target, args.band_fraction)
-    except DomainError as exc:
+        return {}, step_report(step_metrics(trace, start, target, band))
+    except (DomainError, NoResponseError) as exc:
         raise ConfigError(f"cannot measure trace {args.trace} with --start"
                           f" {start} --target {target} --band-fraction"
                           f" {args.band_fraction}: {exc}") from exc
-    return {}, step_report(step_metrics(trace, start, target, band))
 
 
 def build_parser():

@@ -14,8 +14,9 @@ actuator's last output and its pending delay line, and the Kalman filter, on
 the pitches plus the window's noise, run over the window; then PID -> lead
 -> actuator run on the filtered pitches.  Each block does the same
 operations in the same order as a one-step loop, so the trace is the same
-bit for bit.  Once a window's rows are recorded, one check of those rows
-finds the first step, and in it the first signal, that is not finite.
+bit for bit.  Rows are stored per window; one check per batch of at least
+`_BATCH_ROWS` rows (the loop runs on through inf and nan) and at the last
+row finds the first step, and in it the first signal, that is not finite.
 
 The plant advances by its exact zero-order-hold map, with the sinusoidal
 disturbance carried as oscillator states, so its update has no step-size
@@ -219,6 +220,12 @@ def _json_block(lines):
     return block
 
 
+# A check of a batch of rows costs a few numpy calls whatever its length, so
+# `run_scenario` checks and watches at least this many rows at once: 3
+# windows at the default 0.1 s delay, and not one check per step at none.
+_BATCH_ROWS = 250
+
+
 def run_scenario(config: LoopConfig, scenario: Scenario,
                  watch=None) -> Trace:
     """Simulate the closed loop once and return the full Trace.
@@ -226,9 +233,10 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     Deterministic given (config, scenario).  Raises DivergedError at the
     first step whose row of the Trace holds a value that is not finite,
     naming the first such column.  `watch(trace, k0, k1)`, if given, is
-    called after each window but the last, once rows k0..k1-1 of the
-    returned Trace's `rows`, the run's one record, are written and checked
-    (later rows are not yet written); it may end the run by raising.
+    called after each batch of `_BATCH_ROWS` or more rows but the last, once
+    rows k0..k1-1 of the returned Trace's `rows`, the run's one record, are
+    written and checked (later rows are not yet written); it may end the run
+    by raising.
     """
     dt = scenario.dt
     try:
@@ -255,8 +263,9 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
 
     # The first window is the initial sample alone; the Kalman filter's
     # first update predicts with the actuator's rest deflection, which
-    # leaves the prediction at the initial state.
-    k0, k1 = 0, 1
+    # leaves the prediction at the initial state.  Rows before `checked`
+    # are finite and watched.
+    k0, k1, checked = 0, 1, 0
     # Later windows slice the plan's sine.  This one call per run is the
     # `blocks.disturbance_at` that perfbench/tracing.py times, and
     # tests/test_trace_hooks.py fails if no call reaches it.
@@ -270,19 +279,20 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
         u_lead = lead.step(u_pid) if lead else u_pid
         delta = act.step(u_lead)
         # The window's signals, one list per trace column after t and cmd.
-        rows = rec[k0:k1]
-        rows.T[2:] = (omegas, rates, meas, filt, errors, u_pid, u_lead, delta,
-                      ds)
-        finite = np.isfinite(rows)
-        if not finite.all():
-            # The first False in row-major order: the earliest step, and in
-            # it the first signal in column order.
-            step, col = divmod(int(finite.argmin()), len(TRACE_COLUMNS))
-            raise DivergedError(k0 + step, TRACE_COLUMNS[col])
-        if k1 == n:
-            return trace
-        if watch:
-            watch(trace, k0, k1)
+        rec[k0:k1].T[2:] = (omegas, rates, meas, filt, errors, u_pid, u_lead,
+                            delta, ds)
+        if k1 - checked >= _BATCH_ROWS or k1 == n:
+            finite = np.isfinite(rec[checked:k1])
+            if not finite.all():
+                # The first False in row-major order: the earliest step, and
+                # in it the first signal in column order.
+                step, col = divmod(int(finite.argmin()), len(TRACE_COLUMNS))
+                raise DivergedError(checked + step, TRACE_COLUMNS[col])
+            if k1 == n:
+                return trace
+            if watch:
+                watch(trace, checked, k1)
+            checked = k1
 
         # The next window's plant steps start from steps k1-1 .. k2-2, whose
         # deflections the actuator has already fixed: its last output and

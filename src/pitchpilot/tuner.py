@@ -6,10 +6,10 @@ retreat instead of crashing.
 
 Most of Nelder-Mead's evaluations only ask whether a cost is below a
 ceiling (the score a candidate must beat).  `tune_pid` passes that ceiling
-to `evaluate`, which stops a run as soon as a lower bound on its cost from
-the run so far reaches it; the search, its best gains and its history are
-the same as with every run simulated in full.  The bound measures the run
-so far with `metrics.StepTracker`.  `sweep` passes no ceiling.
+to `evaluate`, which stops a run once a lower bound on its cost from the
+batches of rows `run_scenario` watches reaches it; the search, its best
+gains and its history are the same as with every run simulated in full.
+`metrics.StepTracker` measures those rows.  `sweep` passes no ceiling.
 """
 
 import math
@@ -72,15 +72,9 @@ class _Stopped(Exception):
     its one argument is the value the run stops with."""
 
 
-# A bound costs a few numpy reductions, whatever the length of its rows, so
-# `_CostBound` takes at least this many rows at once: 3 windows at the
-# default 0.1 s delay, and not one reduction per step when there is none.
-_BOUND_STEPS = 250
-
-
 class _CostBound:
     """A `run_scenario` watch that stops a run once a lower bound on
-    `evaluate`'s cost from the rows so far reaches `ceiling`: t_s by the
+    `evaluate`'s cost from the batches so far reaches `ceiling`: t_s by the
     last row outside the band, M_p by the peak so far, t_r by t[k1-1] - t10
     until 90 % is crossed, and the IAE by the running sum of |cmd - omega|
     times 1 - 4·n·2⁻⁵³ for n steps, as two sums of n non-negative floats
@@ -95,9 +89,7 @@ class _CostBound:
         self.abs_error = 0.0
 
     def __call__(self, trace, k0, k1):
-        step, k0 = self.step, self.step.k
-        if k1 - k0 < _BOUND_STEPS:
-            return
+        step = self.step
         step.update(trace.t, trace.omega, k1)
         self.abs_error += float(np.abs(trace.omega[k0:k1]
                                        - self.command).sum())

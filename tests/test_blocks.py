@@ -183,13 +183,14 @@ class TestLoopCoefficientsArePythonFloats:
     every later operation into a numpy scalar operation, about twice as slow,
     without changing a single result."""
 
-    @pytest.mark.parametrize("float64", [False, True],
-                             ids=["default", "np.float64"])
-    def test_block_coefficients_and_outputs(self, as_float64, float64):
+    # A numpy dt, as from np.linspace, must not reach the step loop either.
+    @pytest.mark.parametrize("float64, dt", [
+        (False, 0.001), (True, 0.001), (False, np.float64(0.001))],
+        ids=["default", "np.float64", "np.float64-dt"])
+    def test_block_coefficients_and_outputs(self, as_float64, float64, dt):
         def params(cls):
             return as_float64(cls()) if float64 else cls()
 
-        dt = 0.001
         pid = Pid(params(PidGains), dt)
         lead = Lead(params(CompensatorParams), dt)
         act = Actuator(params(ActuatorParams), dt)

@@ -722,9 +722,10 @@ class TestMetricsCommand:
         (["--start", "inf"], "--start inf"),
         (["--target", "nan"], "--target nan"),
         (["--band-fraction", "0"], "--band-fraction 0.0"),
-        (["--start", "1", "--target", "1"], "--start 1.0 --target 1.0")],
+        (["--start", "1", "--target", "1"], "--start 1.0 --target 1.0"),
+        (["--target", "100"], "--target 100.0")],
         ids=["huge-fraction", "infinite-start", "nan-target", "zero-fraction",
-             "degenerate-step"])
+             "degenerate-step", "never-responds"])
     def test_unmeasurable_step_names_its_options(self, tmp_path, capsys,
                                                  argv, named):
         run_cli("simulate", "--out", str(tmp_path), "--duration", "1")

@@ -282,17 +282,23 @@ class TestWindows:
                      Scenario(duration=duration))
         assert calls == [[0.0]]
 
-    @pytest.mark.parametrize("tau, duration", [(0.1, 10.0), (0.0, 0.05),
-                                               (0.26, 0.2)])
-    def test_watch_sees_each_window_but_the_last(self, noisy_config, tau,
-                                                 duration):
+    # A batch ends at the first window end at least 250 rows past the last
+    # batch: every third 101-step window at tau = 0.1, every 250th one-step
+    # window at tau = 0, and each 261-step window at tau = 0.26.  The last
+    # batch, ending at the run's last row, is not watched.
+    @pytest.mark.parametrize("tau, duration, edges", [
+        pytest.param(0.1, 10.0, [0, *range(304, 10001, 303)], id="0.1-10.0"),
+        pytest.param(0.0, 1.0, [0, 250, 500, 750, 1000], id="0.0-1.0"),
+        pytest.param(0.26, 2.0, [0, *range(262, 2001, 261)], id="0.26-2.0")])
+    def test_watch_sees_each_batch_but_the_last(self, noisy_config, tau,
+                                                duration, edges):
         cfg = replace(noisy_config, actuator=ActuatorParams(tau=tau))
         scenario = Scenario(duration=duration)
         plain = run_scenario(cfg, scenario)
         calls = []
 
         def watch(trace, k0, k1):
-            # The window's rows are final when the watch sees them.
+            # The batch's rows are final when the watch sees them.
             calls.append((k0, k1))
             for name in TRACE_COLUMNS:
                 assert (getattr(trace, name)[k0:k1].tobytes()
@@ -302,8 +308,6 @@ class TestWindows:
         for name in TRACE_COLUMNS:
             assert (getattr(watched, name).tobytes()
                     == getattr(plain, name).tobytes()), name
-        window = round(tau / 0.001) + 1
-        edges = [0, 1, *range(1 + window, len(plain), window)]
         assert calls == list(zip(edges, edges[1:]))
 
     def test_watch_that_raises_ends_the_run(self, quiet_config):

@@ -189,12 +189,15 @@ DIVERGING = [
                 plant=PitchPlantParams(J_z=1.4568900730998578e-08, lam=0),
                 kalman=KalmanParams(enabled=False)), 2.0),
     (LoopConfig(compensator=CompensatorParams(a=1e100),
-                noise=NoiseParams(enabled=False)), 10.0)]
+                noise=NoiseParams(enabled=False)), 10.0),
+    # One-step windows: the run diverges inside a batch of 250 windows.
+    (LoopConfig(actuator=ActuatorParams(gain=1e6, tau=0.0)), 2.0)]
 
 
 @pytest.mark.parametrize("config, duration", DIVERGING,
                          ids=["gain-1e6", "gain-5e4-a-1e3", "gain-5e3-a-1e300",
-                              "plant-and-error", "a-1e100-no-noise"])
+                              "plant-and-error", "a-1e100-no-noise",
+                              "gain-1e6-no-delay"])
 def test_divergence_step_is_the_first_non_finite_row(config, duration):
     # The reference loop runs on through overflow, so its first row holding
     # a value that is not finite, and that row's first such column, are

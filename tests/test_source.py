@@ -62,7 +62,9 @@ def test_every_function_is_reached_by_a_workflow(tmp_path, capsys):
         ["ab", *out("ab"), *short],
         ["size", *out("size")],
         ["sweep", *out("sweep"), *short, "--values", "1:2,15"],
-        ["tune", *out("tune"), *short, "--max-evals", "8"],
+        # 0.5 s: a run of 501 rows fills a 250-row batch, so the tuner's
+        # cost bound is entered.
+        ["tune", *out("tune"), "--duration", "0.5", "--max-evals", "8"],
         ["metrics", "--trace", str(tmp_path / "ab" / "trace_a.csv")],
         ["simulate", *out("diverged"), "--no-noise", "--duration", "0.35",
          "--set", "loop.compensator.a=1e100"],
