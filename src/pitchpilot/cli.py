@@ -29,13 +29,16 @@ EXIT_DIVERGED = 3
 
 PLOT_TEMPLATE = """\
 #!/usr/bin/env python3
-# Plot the pitch trace with the settling tolerance band.
+# Plot the pitch trace with the settling tolerance band.  Both files lie
+# beside this script, wherever it is run from.
 import csv
+from pathlib import Path
 
 import matplotlib.pyplot as plt
 
+here = Path(__file__).resolve().parent
 t, omega, cmd = [], [], []
-with open('trace.csv') as fh:
+with open(here / "trace.csv") as fh:
     for row in csv.DictReader(fh):
         t.append(float(row["t"]))
         omega.append(float(row["omega"]))
@@ -50,8 +53,8 @@ plt.axhline(target - half, color="r", ls="--", label="Lower 2")
 plt.xlabel("time [s]")
 plt.ylabel("pitch [deg]")
 plt.legend()
-plt.savefig('trace.png', dpi=150)
-print("wrote", 'trace.png')
+plt.savefig(here / "trace.png", dpi=150)
+print("wrote", here / "trace.png")
 """
 
 
@@ -65,7 +68,7 @@ def _add_common(parser, timed=False, noisy=False):
                         help="dotted-path config override (repeatable)")
     if timed:
         parser.add_argument("--duration", type=float,
-                            help="override duration (s)")
+                            help="override duration (s), a multiple of --dt")
         parser.add_argument("--dt", type=float, help="override step size (s)")
     if noisy:
         parser.add_argument("--seed", type=int, help="override scenario seed")

@@ -5,18 +5,20 @@ noise -> Kalman into the next step.  The error junction uses the pitch
 filtered from the step's own measurement, which the plant reached with the
 previous step's deflection (a one-step computational delay).
 
-The actuator's transport delay holds D = tau/dt deflections already fixed
-(at most the run's step count), so no signal crosses the loop in fewer
-than L = D + 1 steps.  `run_scenario` therefore advances the loop in
+The run's duration and the actuator's transport delay are whole numbers of
+steps (`blocks._steps`); the delay holds D = tau/dt deflections already
+fixed (at most the run's step count), so no signal crosses the loop in
+fewer than L = D + 1 steps.  `run_scenario` therefore advances the loop in
 windows of L steps, calling each block once per window with one list entry
 per step (tau = 0 gives L = 1).  Per window: the plant, driven by the
 actuator's last output and its pending delay line, and the Kalman filter, on
 the pitches plus the window's noise, run over the window; then PID -> lead
 -> actuator run on the filtered pitches.  Each block does the same
 operations in the same order as a one-step loop, so the trace is the same
-bit for bit.  Rows are stored per window; one check per batch of at least
-`_BATCH_ROWS` rows (the loop runs on through inf and nan) and at the last
-row finds the first step, and in it the first signal, that is not finite.
+bit for bit.  t, cmd and d_t are stored before the loop, the other eight
+columns per window; one check per batch of at least `_BATCH_ROWS` rows (the
+loop runs on through inf and nan) and at the last row finds the first step,
+and in it the first signal, that is not finite.
 
 The plant advances by its exact zero-order-hold map, with the sinusoidal
 disturbance carried as oscillator states, so its update has no step-size
@@ -45,7 +47,7 @@ import orjson
 from .blocks import (Actuator, ActuatorParams, CompensatorParams,
                      DisturbanceParams, GainSchedule, Kalman, KalmanParams,
                      Lead, NoiseParams, NoiseSource, Pid, PidGains,
-                     PitchPlantParams, disturbance_at, plant_step)
+                     PitchPlantParams, _steps, disturbance_at, plant_step)
 from .errors import ConfigError, DivergedError, Params, Positive
 
 
@@ -68,7 +70,7 @@ class Scenario(Params):
 
     initial: float = 10.0    # starting pitch (deg)
     command: float = 1.0     # commanded pitch (deg)
-    duration: Positive = 10.0   # simulated time (s)
+    duration: Positive = 10.0   # simulated time (s), a whole number of dt
     dt: Positive = 0.001        # step size (s)
     seed: int = 0
 
@@ -78,10 +80,11 @@ class Scenario(Params):
         # the run cannot start: a configuration error, not a divergence.
         if not math.isfinite(self.command - self.initial):
             raise ConfigError("command - initial is past the float range")
-        if self.dt > self.duration:
-            raise ConfigError("need dt <= duration")
         if self.dt > 0.005:
             raise ConfigError(f"dt={self.dt} too coarse (need dt <= 0.005)")
+        # After the dt limit, so that a coarse dt is refused as such and not
+        # for the duration it does not divide.
+        _steps(self.duration, self.dt, "duration")
 
 
 TRACE_COLUMNS = ("t", "cmd", "omega", "omega_dot", "omega_meas",
@@ -239,10 +242,10 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     by raising.
     """
     dt = scenario.dt
+    n = _steps(scenario.duration, dt, "duration") + 1
     try:
-        n = int(round(scenario.duration / dt)) + 1
         rec = np.empty((n, len(TRACE_COLUMNS)))
-    except (OverflowError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"no trace of duration={scenario.duration} at"
                           f" dt={dt} fits in memory: {exc}") from exc
 
@@ -257,8 +260,8 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     (p01, p0u, p0s, p0c), (p11, p1u, p1s, p1c) = plant_rows
 
     omega, omega_dot, cmd = scenario.initial, 0.0, scenario.command
-    rec[:, 0] = t
-    rec[:, 1] = cmd
+    # The columns known before the loop; each window stores the other eight.
+    rec[:, 0], rec[:, 1], rec[:, 10] = t, cmd, d_sin
     trace = Trace(rec)
 
     # The first window is the initial sample alone; the Kalman filter's
@@ -266,10 +269,10 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     # leaves the prediction at the initial state.  Rows before `checked`
     # are finite and watched.
     k0, k1, checked = 0, 1, 0
-    # Later windows slice the plan's sine.  This one call per run is the
-    # `blocks.disturbance_at` that perfbench/tracing.py times, and
-    # tests/test_trace_hooks.py fails if no call reaches it.
-    ds = disturbance_at(config.disturbance, [0.0])
+    # Unused: the plan's sine is the d_t column.  This one call per run is
+    # the `blocks.disturbance_at` that perfbench/tracing.py times and
+    # tests/test_trace_hooks.py needs reached; ROADMAP item 5 deletes it.
+    disturbance_at(config.disturbance, [0.0])
     omegas, rates, drive = [omega], [omega_dot], [0.0]
     while True:
         meas = [w + v for w, v in zip(omegas, noise[k0:k1])]
@@ -278,9 +281,9 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
         u_pid = pid.step(errors)
         u_lead = lead.step(u_pid) if lead else u_pid
         delta = act.step(u_lead)
-        # The window's signals, one list per trace column after t and cmd.
-        rec[k0:k1].T[2:] = (omegas, rates, meas, filt, errors, u_pid, u_lead,
-                            delta, ds)
+        # The eight signals the loop computes, one list per trace column.
+        rec[k0:k1].T[2:10] = (omegas, rates, meas, filt, errors, u_pid,
+                              u_lead, delta)
         if k1 - checked >= _BATCH_ROWS or k1 == n:
             finite = np.isfinite(rec[checked:k1])
             if not finite.all():
@@ -300,12 +303,9 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
         k2 = min(k1 + window, n)
         drive = [delta[-1], *act.pending][:k2 - k1]
         k0, k1 = k1, k2
-        # The disturbance at steps k0-1 .. k1-1: its first k1-k0 entries
-        # drive the plant, its last k1-k0 are the window's d_t column.
-        d_steps = d_sin[k0 - 1:k1].tolist()
-        ds = d_steps[1:]
         omegas, rates = [], []
-        for u, d, d_c in zip(drive, d_steps, d_cos[k0 - 1:k1 - 1].tolist()):
+        for u, d, d_c in zip(drive, d_sin[k0 - 1:k1 - 1].tolist(),
+                             d_cos[k0 - 1:k1 - 1].tolist()):
             # Pitch is the integral of rate, so its coefficient on pitch is
             # exactly 1 and the update is written as an increment.
             omega += p01 * omega_dot + p0u * u + p0s * d + p0c * d_c

@@ -53,6 +53,32 @@ class TestSimulate:
         rows = (out / "trace.csv").read_text().splitlines()
         assert len(rows) == 52   # header + duration/dt + 1 samples
 
+    def test_plot_script_runs_from_any_directory(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--out", str(out), "--duration", "0.05",
+                       *QUIET) == EXIT_OK
+        # matplotlib is no dependency: a stub whose savefig writes its path.
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("")
+        (stub / "pyplot.py").write_text(
+            "def _ignore(*args, **kwargs):\n"
+            "    pass\n\n\n"
+            "plot = axhline = xlabel = ylabel = legend = _ignore\n\n\n"
+            "def savefig(path, **kwargs):\n"
+            "    with open(path, 'w') as fh:\n"
+            "        fh.write(str(path))\n")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        script = os.path.relpath(out / "plot_trace.py", elsewhere)
+        result = subprocess.run(
+            [sys.executable, script], cwd=elsewhere, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(stub.parent)})
+        assert result.returncode == 0, result.stderr
+        png = out.resolve() / "trace.png"
+        assert png.read_text() == str(png)
+        assert list(elsewhere.iterdir()) == []
+
     def test_no_response_writes_a_note(self, tmp_path, capsys):
         # Within 50 ms the 100 ms actuator delay keeps the pitch at its start.
         assert run_cli("simulate", "--out", str(tmp_path), "--duration",
@@ -583,8 +609,11 @@ def test_failed_rename_exit_code(tmp_path, capsys, monkeypatch, command):
     # The lead output overflows at step 303, the deflection only at 403,
     # after the run's last step.
     (["simulate", "--no-noise", "--duration", "0.35", "--set",
-      "loop.compensator.a=1e100"], EXIT_DIVERGED)],
-    ids=["degenerate-step", "no-response", "diverged", "lead-overflow"])
+      "loop.compensator.a=1e100"], EXIT_DIVERGED),
+    # 1.5 steps, not rounded to 2.
+    (["simulate", "--duration", "0.0015", *QUIET], EXIT_CONFIG)],
+    ids=["degenerate-step", "no-response", "diverged", "lead-overflow",
+         "part-step"])
 def test_step_error_writes_nothing(tmp_path, argv, code):
     assert run_cli(*argv, "--out", str(tmp_path)) == code
     assert list(tmp_path.iterdir()) == []

@@ -29,6 +29,12 @@ class TestScenario:
             Scenario(dt=0.02)   # resolution guard
         with pytest.raises(ConfigError):
             Scenario(dt=2.0, duration=1.0)
+        # A run is a whole number of steps: neither is rounded to one.
+        for duration in (0.0015, 0.3004):
+            with pytest.raises(ConfigError, match=(
+                    rf"^duration={duration} is not an integer multiple of"
+                    r" dt=0\.001$")):
+                Scenario(duration=duration)
 
     def test_step_limit_names_no_block(self):
         # The actuator is held exactly, so its bandwidth sets no step limit.
