@@ -329,6 +329,11 @@ class Lead:
         self.b1 = 1.0 - params.a * c
         self.a0 = c + 1.0
         self.a1 = 1.0 - c
+        # As with a hold `_zoh` refuses, no step could be computed: a
+        # configuration error, not a divergence at step 0.
+        if not all(map(math.isfinite, (self.b0, self.b1, self.a0, self.a1))):
+            raise ConfigError(f"no finite bilinear map of {params!r}"
+                              f" at dt={dt}")
         self.u_prev = 0.0
         self.y_prev = 0.0
 
@@ -350,11 +355,11 @@ class Actuator:
 
     The delay line holds tau/dt servo outputs, preloaded with zeros (the
     servo starts at rest), so the output is zero for exactly tau seconds
-    regardless of the input.  A line longer than `run_steps`, the steps the
-    block will run, only outputs its preload.
+    regardless of the input; it is cut at `run_steps`, the steps the block
+    will run.  `fixed` reports the deflections no later command can change.
     """
 
-    def __init__(self, params: ActuatorParams, dt, run_steps=math.inf):
+    def __init__(self, params: ActuatorParams, dt, run_steps):
         wn2 = params.wn * params.wn   # `**` raises OverflowError past 1e154
         Ad, Bd = _zoh(((0.0, 1.0), (-wn2, -2.0 * params.mu * params.wn)),
                       (0.0, params.gain * wn2), dt, params)
@@ -362,13 +367,12 @@ class Actuator:
         (self.a00, self.a01), (self.a10, self.a11) = Ad
         self.b_0, self.b_1 = Bd
         self.x0 = self.x1 = 0.0
-        self._line = [0.0] * n_slots
+        self._fixed = [0.0] * (n_slots + 1)
 
     @property
-    def pending(self):
-        """The delay line, oldest first: the deflections the next tau/dt
-        steps will output, whatever their commands."""
-        return tuple(self._line)
+    def fixed(self):
+        """The last output (0.0 before any), then the line, oldest first."""
+        return tuple(self._fixed)
 
     def step(self, commands):
         """Delayed servo output for each command of the window."""
@@ -381,9 +385,9 @@ class Actuator:
                       a10 * x0 + a11 * x1 + b_1 * u)
             servo.append(x0)
         self.x0, self.x1 = x0, x1
-        line = self._line + servo
-        self._line = line[len(servo):]
-        return line[:len(servo)]
+        line = self._fixed + servo
+        self._fixed = line[len(servo):]
+        return line[1:len(servo) + 1]
 
 
 class GainSchedule:

@@ -153,8 +153,16 @@ def cmd_ab(args, cfg):
     scenario = cfgmod.scenario_from(cfg)
     band = band_for_step(scenario.initial, scenario.command)
     trace_a, trace_b = run_ab_pair(loop, scenario)
-    m_a = step_metrics(trace_a, scenario.initial, scenario.command, band)
-    m_b = step_metrics(trace_b, scenario.initial, scenario.command, band)
+
+    def measure(leg, trace):
+        # Named like a diverged leg: `run_ab_pair` tags its DivergedError.
+        try:
+            return step_metrics(trace, scenario.initial, scenario.command,
+                                band)
+        except NoResponseError as exc:
+            raise NoResponseError(f"{exc} (leg {leg})") from exc
+
+    m_a, m_b = measure("A", trace_a), measure("B", trace_b)
 
     def improvement(a, b):
         return fixed(100.0 * (a - b) / a if a else float("nan"), ".1f")

@@ -6,19 +6,19 @@ filtered from the step's own measurement, which the plant reached with the
 previous step's deflection (a one-step computational delay).
 
 The run's duration and the actuator's transport delay are whole numbers of
-steps (`blocks._steps`); the delay holds D = tau/dt deflections already
-fixed (at most the run's step count), so no signal crosses the loop in
-fewer than L = D + 1 steps.  `run_scenario` therefore advances the loop in
-windows of L steps, calling each block once per window with one list entry
-per step (tau = 0 gives L = 1).  Per window: the plant, driven by the
-actuator's last output and its pending delay line, and the Kalman filter, on
-the pitches plus the window's noise, run over the window; then PID -> lead
--> actuator run on the filtered pitches.  Each block does the same
-operations in the same order as a one-step loop, so the trace is the same
-bit for bit.  t, cmd and d_t are stored before the loop, the other eight
-columns per window; one check per batch of at least `_BATCH_ROWS` rows (the
-loop runs on through inf and nan) and at the last row finds the first step,
-and in it the first signal, that is not finite.
+steps (`blocks._steps`).  The actuator reports the L = D + 1 deflections it
+has fixed, its last output and a delay line of D = tau/dt (at most the
+run's step count), so no signal crosses the loop in fewer than L steps.
+`run_scenario` therefore advances the loop in windows of L steps, calling
+each block once per window with one list entry per step (tau = 0 gives
+L = 1).  Per window: the plant, driven by those fixed deflections, and the
+Kalman filter, on the pitches plus the window's noise, run over the window;
+then PID -> lead -> actuator run on the filtered pitches.  Each block does
+the same operations in the same order as a one-step loop, so the trace is
+the same bit for bit.  t, cmd and d_t are stored before the loop, the other
+eight columns per window; one check per batch of at least `_BATCH_ROWS`
+rows (the loop runs on through inf and nan) and at the last row finds the
+first step, and in it the first signal, that is not finite.
 
 The plant advances by its exact zero-order-hold map, with the sinusoidal
 disturbance carried as oscillator states, so its update has no step-size
@@ -252,7 +252,6 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     pid = Pid(config.pid, dt)
     lead = Lead(config.compensator, dt) if config.compensator.enabled else None
     act = Actuator(config.actuator, dt, run_steps=n)
-    window = len(act.pending) + 1
     noise = NoiseSource(config.noise, dt, scenario.seed).sample(n)
     t, d_sin, d_cos, plant_rows, schedule = _plan(
         dt, n, config.disturbance, config.plant, config.kalman)
@@ -273,7 +272,7 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
     # the `blocks.disturbance_at` that perfbench/tracing.py times and
     # tests/test_trace_hooks.py needs reached; ROADMAP item 5 deletes it.
     disturbance_at(config.disturbance, [0.0])
-    omegas, rates, drive = [omega], [omega_dot], [0.0]
+    omegas, rates, drive = [omega], [omega_dot], act.fixed[:1]
     while True:
         meas = [w + v for w, v in zip(omegas, noise[k0:k1])]
         filt = kal.step(meas, drive) if kal else meas
@@ -297,12 +296,12 @@ def run_scenario(config: LoopConfig, scenario: Scenario,
                 watch(trace, checked, k1)
             checked = k1
 
-        # The next window's plant steps start from steps k1-1 .. k2-2, whose
-        # deflections the actuator has already fixed: its last output and
-        # its delay line.
-        k2 = min(k1 + window, n)
-        drive = [delta[-1], *act.pending][:k2 - k1]
-        k0, k1 = k1, k2
+        # Each row of the next window is reached by a plant step from the
+        # row before it, whose deflection the actuator has fixed: so the
+        # window is as long as `act.fixed`, or ends the run.
+        fixed = act.fixed
+        k0, k1 = k1, min(k1 + len(fixed), n)
+        drive = fixed[:k1 - k0]
         omegas, rates = [], []
         for u, d, d_c in zip(drive, d_sin[k0 - 1:k1 - 1].tolist(),
                              d_cos[k0 - 1:k1 - 1].tolist()):

@@ -267,7 +267,7 @@ class TestCriterion8Sizing:
 class TestCriterion9OracleEquivalence:
     def test_actuator_peak_matches_closed_form(self):
         params = ActuatorParams()
-        act = Actuator(params, dt=0.001)
+        act = Actuator(params, dt=0.001, run_steps=1000)
         ys = np.array(act.step([1.0] * 1000))
         t = np.arange(1, 1001) * 0.001
         zeta = params.mu

@@ -117,18 +117,18 @@ class TestLead:
 
 class TestActuator:
     def test_pure_delay_hold(self):
-        act = Actuator(ActuatorParams(), dt=0.001)
+        act = Actuator(ActuatorParams(), dt=0.001, run_steps=100)
         outputs = act.step([math.sin(k) for k in range(100)])
         assert outputs == [0.0] * 100
 
     def test_unit_step_dc_gain(self):
-        act = Actuator(ActuatorParams(), dt=0.001)
+        act = Actuator(ActuatorParams(), dt=0.001, run_steps=3000)
         y = act.step([1.0] * 3000)[-1]
         assert y == pytest.approx(7.0, rel=1e-6)
 
     def test_unit_step_peak(self):
         params = ActuatorParams()
-        act = Actuator(params, dt=0.001)
+        act = Actuator(params, dt=0.001, run_steps=1000)
         ys = np.array(act.step([1.0] * 1000))
         t = np.arange(1, 1001) * 0.001
         peak = params.gain * (1 + math.exp(-math.pi * params.mu
@@ -143,7 +143,7 @@ class TestActuator:
         # Undelayed section vs RK4 of the same ODE at a 100x finer step.
         params = ActuatorParams(tau=0.0)
         dt = 0.001
-        act = Actuator(params, dt=dt)
+        act = Actuator(params, dt=dt, run_steps=200)
         coarse = act.step([1.0] * 200)
         h = dt / 100
         x0 = x1 = 0.0
@@ -164,12 +164,20 @@ class TestActuator:
 
     def test_delay_line_is_cut_at_the_run_length(self):
         act = Actuator(ActuatorParams(tau=1e300), dt=0.001, run_steps=50)
-        assert len(act.pending) == 50
+        assert len(act.fixed[1:]) == 50
         assert act.step([math.sin(k) for k in range(50)]) == [0.0] * 50
+
+    def test_run_length_is_required(self):
+        # A default of no bound built a line of tau/dt zeros: at tau = 1e300
+        # a count past the index range, an OverflowError.
+        with pytest.raises(TypeError):
+            Actuator(ActuatorParams(tau=1e300), 0.001)
+        act = Actuator(ActuatorParams(tau=1e300), 0.001, 3)
+        assert act.fixed == (0.0,) * 4
 
     def test_delay_must_divide_dt(self):
         with pytest.raises(ConfigError):
-            Actuator(ActuatorParams(tau=0.0015), dt=0.001)
+            Actuator(ActuatorParams(tau=0.0015), dt=0.001, run_steps=1)
 
     def test_param_validation(self):
         with pytest.raises(DomainError):
@@ -193,7 +201,7 @@ class TestLoopCoefficientsArePythonFloats:
 
         pid = Pid(params(PidGains), dt)
         lead = Lead(params(CompensatorParams), dt)
-        act = Actuator(params(ActuatorParams), dt)
+        act = Actuator(params(ActuatorParams), dt, run_steps=1)
         rows = plant_step(params(PitchPlantParams),
                           params(DisturbanceParams), dt)
         # Two updates, so the schedule's recursion predicts once.
@@ -256,7 +264,7 @@ class TestZoh:
     @pytest.mark.parametrize("gain", [1.0, 7.0, 1e3, 1e6])
     def test_actuator_hold_matches_mpmath(self, gain, wn):
         p, dt = ActuatorParams(gain=gain, wn=wn), 0.001
-        act = Actuator(p, dt)
+        act = Actuator(p, dt, run_steps=1)
         _assert_hold_near_exact(
             [[act.a00, act.a01, act.b_0], [act.a10, act.a11, act.b_1]],
             [[0.0, 1.0], [-wn * wn, -2.0 * p.mu * wn]], [0.0, gain * wn * wn],
@@ -313,8 +321,8 @@ class TestZoh:
         # An unscaled expm of B = gain·wn² loses Ad or overflows, yet the
         # hold is linear in B.
         dt = 0.001
-        unit = Actuator(ActuatorParams(gain=1.0), dt)
-        act = Actuator(ActuatorParams(gain=gain), dt)
+        unit = Actuator(ActuatorParams(gain=1.0), dt, run_steps=1)
+        act = Actuator(ActuatorParams(gain=gain), dt, run_steps=1)
         for name in ("a00", "a01", "a10", "a11"):
             assert getattr(act, name) == pytest.approx(getattr(unit, name),
                                                        rel=1e-12)
@@ -563,17 +571,19 @@ class TestWindowSplits:
     @given(values=st.lists(signal, max_size=200), cuts=cut_points)
     def test_actuator(self, tau, values, cuts):
         _assert_split_invariant(
-            lambda: Actuator(ActuatorParams(tau=tau), 0.001),
+            lambda: Actuator(ActuatorParams(tau=tau), 0.001, len(values)),
             Actuator.step, values, cuts)
 
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     @given(values=st.lists(signal, max_size=200), later=signal)
-    def test_actuator_pending_is_its_next_output(self, tau, values, later):
-        act = Actuator(ActuatorParams(tau=tau), 0.001)
-        act.step(values)
-        pending = act.pending
-        assert len(pending) == round(tau / 0.001)
-        assert act.step([later] * len(pending)) == list(pending)
+    def test_actuator_fixed_is_its_next_output(self, tau, values, later):
+        line = round(tau / 0.001)
+        act = Actuator(ActuatorParams(tau=tau), 0.001, len(values) + line)
+        outputs = act.step(values)
+        fixed = act.fixed
+        assert len(fixed) == line + 1
+        assert fixed[0] == (outputs[-1] if values else 0.0)
+        assert act.step([later] * line) == list(fixed[1:])
 
     @given(values=st.lists(st.tuples(signal, signal), max_size=200),
            cuts=cut_points)

@@ -238,6 +238,17 @@ class TestSimulate:
         assert named in err
         assert "A=[[" not in err
 
+    def test_lead_past_the_float_range_names_its_parameters(self, tmp_path,
+                                                            capsys):
+        # b0 = a·2T/dt + 1 overflows: no step of the run could be computed.
+        assert run_cli("simulate", "--duration", "0.5", "--out", str(tmp_path),
+                       "--set", "loop.compensator.a=1e300",
+                       "--set", "loop.compensator.T=1e300") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no finite bilinear map" in err
+        assert "CompensatorParams(" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_delay_past_the_run_exit_code(self, tmp_path):
         # The delay line is cut at the run length instead of allocating
         # tau/dt entries.
@@ -285,6 +296,14 @@ class TestAb:
         assert "settling time:" in report
         assert (tmp_path / "trace_a.csv").exists()
         assert (tmp_path / "trace_b.csv").exists()
+
+    def test_leg_that_never_responds_is_named(self, tmp_path, capsys):
+        # As a diverged leg is: the error names leg A, and nothing is written.
+        assert run_cli("ab", "--duration", "0.05", "--no-noise",
+                       "--out", str(tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "trace never crossed the 10% threshold (leg A)" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_identity_compensator_no_improvement(self, tmp_path):
         code = run_cli("ab", "--out", str(tmp_path), "--duration", "4",
@@ -718,13 +737,19 @@ class TestSweepAndTune:
 
 class TestMetricsCommand:
     def test_recompute_from_csv(self, tmp_path, capsys):
-        run_cli("simulate", "--out", str(tmp_path), *QUIET)
-        capsys.readouterr()
-        code = run_cli("metrics", "--trace", str(tmp_path / "trace.csv"))
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "rise time" in out
-        assert "pass" in out
+        # The trace re-measures to the bytes of the run's own metrics.txt,
+        # noise-free and noisy.
+        for name, quiet in (("quiet", QUIET), ("noisy", [])):
+            out_dir = tmp_path / name
+            assert run_cli("simulate", "--out", str(out_dir),
+                           *quiet) == EXIT_OK
+            capsys.readouterr()
+            code = run_cli("metrics", "--trace", str(out_dir / "trace.csv"))
+            assert code == EXIT_OK
+            out = capsys.readouterr().out
+            assert "rise time" in out
+            assert "pass" in out
+            assert out.encode() == (out_dir / "metrics.txt").read_bytes()
 
     @pytest.mark.parametrize("t", [[1.0, 0.0], [0.0, 0.0], [0.0, math.nan],
                                    [0.0, math.inf]],
